@@ -206,8 +206,7 @@ BENCHMARK(BM_AhoCorasickScan)->Arg(256)->Arg(1450);
 
 static void BM_FirewallDecide(benchmark::State& state) {
   nf::FirewallTable t;
-  t.set_engine(state.range(0) ? nf::FirewallTable::Engine::kSrcTrie
-                              : nf::FirewallTable::Engine::kLinear);
+  const bool trie = state.range(0) != 0;
   std::string err;
   for (const auto& text : nf::make_firewall_rules(64)) {
     auto r = nf::FwRule::parse(text, &err);
@@ -215,7 +214,7 @@ static void BM_FirewallDecide(benchmark::State& state) {
   }
   net::FlowKey f{0x0a050505, 0x0a006401, 1000, 80, 17};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(t.decide(f));
+    benchmark::DoNotOptimize(trie ? t.decide(f) : t.decide_linear(f));
     f.src_ip += 0x100;
   }
   state.SetItemsProcessed(state.iterations());

@@ -45,6 +45,12 @@ actuations (FP <= 0.05), and a majority of storm pre-actuations must be
 confirmed by a reactive breach (FP <= 0.5 — a rescue that works erases
 some of its own confirming evidence; docs/FORECAST.md).
 
+Logical-clock rows are an exact oracle: every row marked
+wall_clock=false in a fresh ext4_tenants, fig11_fct or ext5_forecast
+report must equal its baseline row in every field. These rows replay a
+seeded rig bit-identically on any machine, so any drift is a behavior
+change; a change that means to move them regenerates the baseline.
+
 Regenerate baselines from a Release build:
 
     ./build/bench/ext2_fastpath --json BENCH_fastpath.json
@@ -196,6 +202,32 @@ def gate_ratios(fresh, base, value_of, key_label, max_regression):
     return failed
 
 
+def gate_exact(fresh, base, key_label):
+    """Every logical-clock (wall_clock=false) row present on both sides
+    must match its baseline field for field. Returns True on any drift."""
+    failed = False
+    rows = fields = 0
+    for key in sorted(set(fresh) & set(base)):
+        f, b = fresh[key], base[key]
+        if f.get("wall_clock") is not False and \
+                b.get("wall_clock") is not False:
+            continue
+        names = sorted(set(f) | set(b))
+        rows += 1
+        fields += len(names)
+        drift = [n for n in names if n not in f or n not in b or f[n] != b[n]]
+        if drift:
+            failed = True
+            what = ", ".join(f"{n} {b.get(n)!r} -> {f.get(n)!r}"
+                             for n in drift)
+            print(f"FAIL: logical row {key_label(key)} drifted from the "
+                  f"baseline: {what}")
+    verdict = "FAIL" if failed else "ok"
+    print(f"logical rows exact: {rows} rows, {fields} fields compared "
+          f"[{verdict}]")
+    return failed
+
+
 def check_fastpath(fresh, base, max_regression):
     failed = gate_ratios(fresh, base, lambda v: v,
                          lambda k: f"{k[0]}/burst{k[1]}", max_regression)
@@ -241,6 +273,7 @@ def check_fastpath(fresh, base, max_regression):
 def check_tenants(fresh, base, max_regression):
     failed = gate_ratios(fresh, base, lambda r: float(r["value"]),
                          lambda k: k, max_regression)
+    failed |= gate_exact(fresh, base, lambda k: k)
 
     # Hard contract checks on the deterministic (logical-clock) rows: the
     # victim's p99.9 must hold its SLO whenever admission is live. These
@@ -272,6 +305,7 @@ def check_fct(fresh, base, max_regression):
     failed = gate_ratios(fresh, base,
                          lambda r: float(r["short_p99_fct_ns"]),
                          lambda k: f"{k[0]}/{k[1]}", max_regression)
+    failed |= gate_exact(fresh, base, lambda k: f"{k[0]}/{k[1]}")
 
     # Hard checks. fig11 runs on the event queue's logical clock, so
     # these replay bit-identically on any machine — a breach is a real
@@ -314,6 +348,7 @@ def check_fct(fresh, base, max_regression):
 def check_forecast(fresh, base, max_regression):
     failed = gate_ratios(fresh, base, lambda r: float(r["value"]),
                          lambda k: k, max_regression)
+    failed |= gate_exact(fresh, base, lambda k: k)
 
     def val(name):
         row = fresh.get(name)
@@ -539,6 +574,21 @@ def self_test():
               code == 0 and "<= SLO 50000 logical ns [ok]" in out
               and "contagion factor" in out, out)
 
+        check("tenant logical rows exact",
+              "logical rows exact: 2 rows, 10 fields compared [ok]" in out,
+              out)
+
+        # Logical drift: one field of a logical row moves (well inside
+        # the 2x ratio rule and the SLO) -> hard FAIL.
+        tdrift = dict(tn_base)
+        tdrift["victim_p999_storm_on_admission"] = {
+            **tn_base["victim_p999_storm_on_admission"], "value": 2100}
+        code, out = run_gate([write("tdrift.json", tn_report(tdrift)),
+                              tbase])
+        check("tenant logical drift fails",
+              code == 1 and "victim_p999_storm_on_admission drifted from "
+              "the baseline: value 2000 -> 2100" in out, out)
+
         # Tenant regression: flowtable row 3x slower fails.
         tslow = {**tn_base,
                  "flowtable_insert_1m": {"row": "flowtable_insert_1m",
@@ -585,6 +635,20 @@ def self_test():
         check("fct rows pass",
               code == 0 and "speedup (best replica mode" in out
               and "10.00x [ok]" in out, out)
+
+        check("fct logical rows exact",
+              "logical rows exact: 3 rows, 18 fields compared [ok]" in out,
+              out)
+
+        # Logical drift: one completed flow fewer changes no gated ratio
+        # but is a behavior change -> hard FAIL.
+        fdrift = {k: dict(v) for k, v in fct_base.items()}
+        fdrift[("websearch", "single_path")]["flows_completed"] = 3999
+        code, out = run_gate([write("fdrift.json", fct_report(fdrift)),
+                              fbase])
+        check("fct logical drift fails",
+              code == 1 and "websearch/single_path drifted from the "
+              "baseline: flows_completed None -> 3999" in out, out)
 
         # Duplicate-byte flood: a row past the ceiling is a hard FAIL
         # even when its p99 ratio is fine.
@@ -635,6 +699,19 @@ def self_test():
               and "client breach windows: predictive 0 < reactive 2" in out
               and "prehedge lead: 30 ticks" in out, out)
 
+        check("forecast logical rows exact",
+              "logical rows exact: 8 rows, 32 fields compared [ok]" in out,
+              out)
+
+        # Logical drift: a 1 ns move of a row that still wins its A/B.
+        fcdrift = {k: dict(v) for k, v in fc_base.items()}
+        fcdrift["onset_p999_predictive"]["value"] = 2001
+        code, out = run_gate([write("fcdrift.json", fc_report(fcdrift)),
+                              fcbase])
+        check("forecast logical drift fails",
+              code == 1 and "onset_p999_predictive drifted from the "
+              "baseline: value 2000 -> 2001" in out, out)
+
         # Lost A/B win: a predictive tie is a hard FAIL even against an
         # equally-bad baseline (the ratio rule alone would pass it).
         fclost = {k: dict(v) for k, v in fc_base.items()}
@@ -664,7 +741,7 @@ def self_test():
         check("forecast calm actuation fails",
               code == 1 and "must never trip the forecast" in out, out)
 
-    total = 24
+    total = 30
     passed = total - len(failures)
     print(f"self-test: {passed}/{total} checks passed")
     return 1 if failures else 0

@@ -276,8 +276,7 @@ void MdpDataPlane::on_path_complete(std::uint16_t path, net::PacketPtr pkt) {
 
   const std::uint64_t k = Deduplicator::key(a.flow_id, a.seq);
   // First completion cancels any parked hedge copy.
-  if (auto it = hedge_parked_.find(k); it != hedge_parked_.end())
-    hedge_parked_.erase(it);
+  hedge_parked_.erase(k);
 
   if (!dedup_.accept(k)) {
     fast_counters_.inc(DpCounter::kDupDropped);
@@ -291,12 +290,12 @@ void MdpDataPlane::arm_hedge(std::uint64_t key, std::uint16_t original_path,
   clone->anno().hedged = true;
   clone->anno().is_replica = true;
   clone->anno().copy_index = 1;
-  hedge_parked_.emplace(key, std::move(clone));
+  hedge_parked_.try_emplace(key, std::move(clone));
   eq_.schedule_in(timeout, [this, key, original_path] {
-    auto it = hedge_parked_.find(key);
-    if (it == hedge_parked_.end()) return;  // original completed in time
-    net::PacketPtr copy = std::move(it->second);
-    hedge_parked_.erase(it);
+    net::PacketPtr* parked = hedge_parked_.find(key);
+    if (!parked) return;  // original completed in time
+    net::PacketPtr copy = std::move(*parked);
+    hedge_parked_.erase(key);
     // Best alternate: least-backlogged up path that is not the original.
     PathVec two;
     k_least_backlog_paths(*this, 2, two);

@@ -26,6 +26,7 @@
 
 #include "click/router.hpp"
 #include "core/dedup.hpp"
+#include "core/flat_map.hpp"
 #include "core/flow_replicator.hpp"
 #include "core/granularity.hpp"
 #include "core/path_monitor.hpp"
@@ -119,11 +120,13 @@ class MdpDataPlane final : public PathContext {
   }
   Granularity granularity() const noexcept { return granularity_; }
 
-  /// Flow completed (workload signal): forget its replication decision
-  /// and retire its pending dedup entries. Copies still in flight become
-  /// late drops — released, never double-delivered.
+  /// Flow completed (workload signal): forget its replication decision,
+  /// its sequence counter and its pending dedup entries. Copies still in
+  /// flight become late drops — released, never double-delivered. The
+  /// flow id must not be reused afterwards (its sequence would restart).
   void end_flow(std::uint32_t flow_id) {
     if (replicator_) replicator_->erase(flow_id);
+    next_seq_.erase(flow_id);
     dedup_.release_flow(flow_id);
   }
 
@@ -181,6 +184,11 @@ class MdpDataPlane final : public PathContext {
   sim::TimeNs chain_cost_ns() const noexcept { return chain_cost_ns_; }
   click::Router& router() noexcept { return router_; }
 
+  /// Flows holding a per-flow sequence counter (retired by end_flow).
+  std::size_t tracked_flows() const noexcept { return next_seq_.size(); }
+  /// Hedge copies parked waiting for their timeout.
+  std::size_t parked_hedges() const noexcept { return hedge_parked_.size(); }
+
   std::uint64_t ingress_count() const noexcept { return ingress_count_; }
   std::uint64_t egress_count() const noexcept { return egress_count_; }
 
@@ -230,9 +238,9 @@ class MdpDataPlane final : public PathContext {
   stats::EnumCounters<DpCounter> fast_counters_;
   stats::CounterSet adhoc_counters_;
   trace::Tracer* tracer_ = nullptr;
-  std::unordered_map<std::uint32_t, std::uint64_t> next_seq_;
+  FlatMap<std::uint32_t, std::uint64_t> next_seq_;
   // Hedge copies parked until the timeout decides their fate.
-  std::unordered_map<std::uint64_t, net::PacketPtr> hedge_parked_;
+  FlatMap<std::uint64_t, net::PacketPtr> hedge_parked_;
   std::uint64_t ingress_count_ = 0;
   std::uint64_t egress_count_ = 0;
   std::uint64_t ingress_bytes_ = 0;

@@ -7,8 +7,8 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 
+#include "core/flat_map.hpp"
 #include "sim/time.hpp"
 
 namespace mdp::core {
@@ -21,29 +21,27 @@ class Deduplicator {
 
   /// Register a packet about to be dispatched as `copies` copies.
   void expect(std::uint64_t k, std::uint8_t copies, sim::TimeNs now) {
-    entries_.emplace(k, Entry{copies, 0, now});
+    entries_.try_emplace(k, Entry{copies, 0, now});
   }
 
   /// A hedge added one more copy in flight.
   void add_expected(std::uint64_t k) {
-    auto it = entries_.find(k);
-    if (it != entries_.end()) ++it->second.expected;
+    if (Entry* e = entries_.find(k)) ++e->expected;
   }
 
   /// A copy arrived. Returns true iff it is the first (should egress).
   bool accept(std::uint64_t k) {
-    auto it = entries_.find(k);
-    if (it == entries_.end()) {
+    Entry* e = entries_.find(k);
+    if (!e) {
       // Unknown: either already retired (late copy after sweep) or never
       // registered. Treat as duplicate — never double-deliver.
       ++late_drops_;
       return false;
     }
-    Entry& e = it->second;
-    bool first = (e.seen == 0);
-    ++e.seen;
+    bool first = (e->seen == 0);
+    ++e->seen;
     if (!first) ++dup_drops_;
-    if (e.seen >= e.expected) entries_.erase(it);
+    if (e->seen >= e->expected) entries_.erase(k);
     return first;
   }
 
@@ -63,31 +61,25 @@ class Deduplicator {
 
   /// A copy was filtered in-chain and will never arrive.
   void cancel_one(std::uint64_t k) {
-    auto it = entries_.find(k);
-    if (it == entries_.end()) return;
-    Entry& e = it->second;
-    if (e.expected > 0) --e.expected;
-    if (e.seen >= e.expected) entries_.erase(it);
+    Entry* e = entries_.find(k);
+    if (!e) return;
+    if (e->expected > 0) --e->expected;
+    if (e->seen >= e->expected) entries_.erase(k);
   }
 
   /// True if the first copy has already egressed (hedge check).
   bool completed(std::uint64_t k) const {
-    auto it = entries_.find(k);
-    return it == entries_.end() || it->second.seen > 0;
+    const Entry* e = entries_.find(k);
+    return !e || e->seen > 0;
   }
 
   /// Drop entries older than `max_age` (copies lost in-chain). Returns
   /// the number swept.
   std::size_t sweep(sim::TimeNs now, sim::TimeNs max_age) {
-    std::size_t n = 0;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (now - it->second.created_ns > max_age) {
-        it = entries_.erase(it);
-        ++n;
-      } else {
-        ++it;
-      }
-    }
+    const std::size_t n =
+        entries_.erase_if([&](std::uint64_t, const Entry& e) {
+          return now - e.created_ns > max_age;
+        });
     swept_ += n;
     return n;
   }
@@ -107,13 +99,13 @@ class Deduplicator {
 
   /// Forget the flow's copy count. Returns true if it was registered.
   bool deregister_flow(std::uint32_t flow_id) {
-    return flow_copies_.erase(flow_id) > 0;
+    return flow_copies_.erase(flow_id);
   }
 
   /// Expected copies per sequence for `flow_id`; 1 when unregistered.
   std::uint8_t flow_copies(std::uint32_t flow_id) const {
-    auto it = flow_copies_.find(flow_id);
-    return it == flow_copies_.end() ? std::uint8_t{1} : it->second;
+    const std::uint8_t* c = flow_copies_.find(flow_id);
+    return c ? *c : std::uint8_t{1};
   }
 
   /// expect() keyed by the flow registry's copy count.
@@ -128,16 +120,9 @@ class Deduplicator {
   /// Valid for seq < 2^40 (the plane's per-flow counters). Returns the
   /// number of entries released.
   std::size_t release_flow(std::uint32_t flow_id) {
-    std::size_t n = 0;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (static_cast<std::uint32_t>(it->first >> 40) == flow_id) {
-        it = entries_.erase(it);
-        ++n;
-      } else {
-        ++it;
-      }
-    }
-    return n;
+    return entries_.erase_if([flow_id](std::uint64_t k, const Entry&) {
+      return static_cast<std::uint32_t>(k >> 40) == flow_id;
+    });
   }
 
   std::size_t registered_flows() const noexcept { return flow_copies_.size(); }
@@ -153,8 +138,8 @@ class Deduplicator {
     std::uint8_t seen;
     sim::TimeNs created_ns;
   };
-  std::unordered_map<std::uint64_t, Entry> entries_;
-  std::unordered_map<std::uint32_t, std::uint8_t> flow_copies_;
+  FlatMap<std::uint64_t, Entry> entries_;
+  FlatMap<std::uint32_t, std::uint8_t> flow_copies_;
   std::uint64_t dup_drops_ = 0;
   std::uint64_t late_drops_ = 0;
   std::uint64_t swept_ = 0;

@@ -186,15 +186,14 @@ void FlowletScheduler::select(const net::Packet& pkt, const PathContext& ctx,
                               sim::Rng&, PathVec& out) {
   std::uint32_t flow = pkt.anno().flow_id;
   sim::TimeNs now = ctx.now();
-  auto it = table_.find(flow);
-  if (it != table_.end() && ctx.up(it->second.path) &&
-      now - it->second.last_seen_ns <= gap_ns_) {
-    it->second.last_seen_ns = now;
-    out.push_back(it->second.path);
+  FlowletState* st = table_.find(flow);
+  if (st && ctx.up(st->path) && now - st->last_seen_ns <= gap_ns_) {
+    st->last_seen_ns = now;
+    out.push_back(st->path);
     return;
   }
   std::uint16_t p = least_backlog_path(ctx);
-  if (it != table_.end() && it->second.path != p) ++switches_;
+  if (st && st->path != p) ++switches_;
   table_[flow] = {p, now};
   out.push_back(p);
 }

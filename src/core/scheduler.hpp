@@ -14,9 +14,9 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/flat_map.hpp"
 #include "net/packet.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -249,7 +249,7 @@ class FlowletScheduler final : public Scheduler {
     sim::TimeNs last_seen_ns;
   };
   sim::TimeNs gap_ns_;
-  std::unordered_map<std::uint32_t, FlowletState> table_;
+  FlatMap<std::uint32_t, FlowletState> table_;
   std::uint64_t switches_ = 0;
 };
 

@@ -1,20 +1,46 @@
 #include "net/checksum.hpp"
 
-#include "net/byte_order.hpp"
+#include <bit>
+#include <cstring>
 
 namespace mdp::net {
 
 std::uint32_t checksum_partial(const std::byte* data, std::size_t len,
                                std::uint32_t sum) noexcept {
-  while (len >= 2) {
-    sum += load_be16(data);
+  // Sum native 32-bit words into a 64-bit accumulator and fold. The
+  // one's-complement sum is byte-order independent (RFC 1071 2.B): summed
+  // in native order, it is the network-order sum byte-swapped.
+  std::uint64_t acc = 0;
+  while (len >= 4) {
+    std::uint32_t w;
+    std::memcpy(&w, data, 4);
+    acc += w;
+    data += 4;
+    len -= 4;
+  }
+  if (len >= 2) {
+    std::uint16_t w;
+    std::memcpy(&w, data, 2);
+    acc += w;
     data += 2;
     len -= 2;
   }
   if (len == 1) {
-    sum += std::to_integer<std::uint32_t>(data[0]) << 8;
+    // A trailing odd byte is the high byte of a network-order word.
+    const auto b = std::to_integer<std::uint64_t>(data[0]);
+    acc += std::endian::native == std::endian::little ? b : b << 8;
   }
-  return sum;
+  // Fold with end-around carry. A nonzero sum never folds to zero, so the
+  // result is zero exactly when the 16-bit word sum is.
+  acc = (acc & 0xffffffffu) + (acc >> 32);
+  acc = (acc & 0xffffffffu) + (acc >> 32);
+  auto folded = static_cast<std::uint32_t>(acc);
+  folded = (folded & 0xffff) + (folded >> 16);
+  folded = (folded & 0xffff) + (folded >> 16);
+  auto word = static_cast<std::uint16_t>(folded);
+  if constexpr (std::endian::native == std::endian::little)
+    word = static_cast<std::uint16_t>(word << 8 | word >> 8);
+  return sum + word;
 }
 
 std::uint16_t checksum_fold(std::uint32_t sum) noexcept {

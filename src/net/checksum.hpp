@@ -7,7 +7,9 @@
 
 namespace mdp::net {
 
-/// One's-complement sum over `len` bytes (not folded/inverted).
+/// One's-complement sum over `len` bytes added to `sum` (not inverted).
+/// Only the folded value is specified: checksum_fold() of the result is
+/// that of `sum` plus the data's 16-bit network-order words.
 std::uint32_t checksum_partial(const std::byte* data, std::size_t len,
                                std::uint32_t sum = 0) noexcept;
 

@@ -55,9 +55,12 @@ bool parse_port_range(const std::string& s, PortRange* out,
     out->lo = out->hi = static_cast<std::uint16_t>(v);
     return true;
   }
-  unsigned long lo = std::strtoul(s.substr(0, dash).c_str(), &end, 10);
+  // `end` points into the parsed string, so each half must outlive it.
+  const std::string lo_text = s.substr(0, dash);
+  const std::string hi_text = s.substr(dash + 1);
+  unsigned long lo = std::strtoul(lo_text.c_str(), &end, 10);
   bool lo_ok = (*end == '\0');
-  unsigned long hi = std::strtoul(s.substr(dash + 1).c_str(), &end, 10);
+  unsigned long hi = std::strtoul(hi_text.c_str(), &end, 10);
   if (!lo_ok || *end != '\0' || lo > 65535 || hi > 65535 || lo > hi) {
     *err = "bad port range '" + s + "'";
     return false;
@@ -123,37 +126,21 @@ std::optional<FwRule> FwRule::parse(const std::string& text,
 // --- FirewallTable -----------------------------------------------------------
 
 void FirewallTable::add_rule(FwRule rule) {
+  const auto idx = static_cast<int>(rules_.size());
   rules_.push_back(rule);
-  if (engine_ == Engine::kSrcTrie) rebuild_trie();
-}
-
-void FirewallTable::set_engine(Engine e) {
-  engine_ = e;
-  if (engine_ == Engine::kSrcTrie) rebuild_trie();
-}
-
-void FirewallTable::rebuild_trie() {
-  trie_.clear();
-  trie_.emplace_back();
-  for (std::uint32_t i = 0; i < rules_.size(); ++i) {
-    const Prefix& p = rules_[i].src;
-    int node = 0;
-    for (std::uint8_t bit = 0; bit < p.len; ++bit) {
-      int b = (p.addr >> (31 - bit)) & 1;
-      if (trie_[node].child[b] < 0) {
-        trie_[node].child[b] = static_cast<int>(trie_.size());
-        trie_.emplace_back();
-      }
-      node = trie_[node].child[b];
+  // Anchor the rule at its source-prefix node, growing the path to it.
+  const Prefix& p = rule.src;
+  int node = 0;
+  for (std::uint8_t bit = 0; bit < p.len; ++bit) {
+    int b = (p.addr >> (31 - bit)) & 1;
+    if (trie_[node].child[b] < 0) {
+      trie_[node].child[b] = static_cast<int>(trie_.size());
+      trie_.emplace_back();
     }
-    trie_[node].rules.push_back(i);
+    node = trie_[node].child[b];
   }
-}
-
-FwAction FirewallTable::decide(const net::FlowKey& f,
-                               std::size_t* rule_idx) const noexcept {
-  return engine_ == Engine::kSrcTrie ? decide_trie(f, rule_idx)
-                                     : decide_linear(f, rule_idx);
+  next_anchored_.push_back(trie_[node].anchored);
+  trie_[node].anchored = idx;
 }
 
 FwAction FirewallTable::decide_linear(const net::FlowKey& f,
@@ -168,16 +155,17 @@ FwAction FirewallTable::decide_linear(const net::FlowKey& f,
   return default_;
 }
 
-FwAction FirewallTable::decide_trie(const net::FlowKey& f,
-                                    std::size_t* idx) const noexcept {
+FwAction FirewallTable::decide(const net::FlowKey& f,
+                               std::size_t* idx) const noexcept {
   // Walk the source-address trie collecting candidate rules anchored at
   // every prefix of f.src_ip, then first-match = minimum rule index among
   // candidates that fully match.
   std::uint32_t best = UINT32_MAX;
   int node = 0;
   for (std::uint8_t bit = 0; bit <= 32 && node >= 0; ++bit) {
-    for (std::uint32_t r : trie_[node].rules) {
-      if (r < best && rules_[r].matches(f)) best = r;
+    for (int r = trie_[node].anchored; r >= 0; r = next_anchored_[r]) {
+      const auto ur = static_cast<std::uint32_t>(r);
+      if (ur < best && rules_[ur].matches(f)) best = ur;
     }
     if (bit == 32) break;
     int b = (f.src_ip >> (31 - bit)) & 1;

@@ -9,7 +9,9 @@
 //   - kSrcTrie : a binary trie on the source prefix narrows the candidate
 //                set before the ordered scan (first-match preserved by
 //                taking the minimum rule index among trie hits)
-// Tab 3's per-element cost uses the engine-dependent cost model.
+// Both decide identically, so the real lookup always walks the trie (kept
+// current on every add_rule). The configured engine selects only the cost
+// model (Firewall::cost_ns) that Tab 3 and the simulated planes charge.
 #pragma once
 
 #include <cstdint>
@@ -71,31 +73,33 @@ class FirewallTable {
 
   void add_rule(FwRule rule);
   void set_default(FwAction a) noexcept { default_ = a; }
-  void set_engine(Engine e);
+  /// Selects the modeled cost only; decide() is engine-independent.
+  void set_engine(Engine e) noexcept { engine_ = e; }
   Engine engine() const noexcept { return engine_; }
   std::size_t num_rules() const noexcept { return rules_.size(); }
 
-  /// First-match decision for a flow. Also reports which rule fired
-  /// (rules_.size() => default action) for accounting.
+  /// First-match decision for a flow, by the source trie. Also reports
+  /// which rule fired (rules_.size() => default action) for accounting.
   FwAction decide(const net::FlowKey& f, std::size_t* rule_idx = nullptr)
       const noexcept;
+  /// The same decision by an in-order scan (the reference for decide()).
+  FwAction decide_linear(const net::FlowKey& f,
+                         std::size_t* rule_idx = nullptr) const noexcept;
 
  private:
-  void rebuild_trie();
-  FwAction decide_linear(const net::FlowKey& f, std::size_t* idx)
-      const noexcept;
-  FwAction decide_trie(const net::FlowKey& f, std::size_t* idx)
-      const noexcept;
-
   struct TrieNode {
     int child[2] = {-1, -1};
-    std::vector<std::uint32_t> rules;  // rules anchored at this prefix node
+    int anchored = -1;  // a rule anchored at this prefix node, or -1
   };
 
   std::vector<FwRule> rules_;
+  // Per rule: the next rule anchored at the same trie node, or -1. Lists
+  // threaded through one array instead of a vector per node: the small
+  // per-node allocations fragmented the heap (+2.7 MB peak RSS per run).
+  std::vector<int> next_anchored_;
   FwAction default_ = FwAction::kAllow;
   Engine engine_ = Engine::kLinear;
-  std::vector<TrieNode> trie_;
+  std::vector<TrieNode> trie_ = std::vector<TrieNode>(1);  // [0] = root
 };
 
 /// Click element wrapper. Configure args: first may be "default allow|deny"

@@ -67,19 +67,14 @@ std::uint32_t LoadBalancerCore::pick_wrr() {
 std::uint32_t LoadBalancerCore::select(const net::FlowKey& flow,
                                        std::uint16_t tenant) {
   if (std::uint32_t* dip = affinity_.find(flow)) {
-    if (is_healthy(*dip)) {
-      ++hits_[*dip];
-      return *dip;
-    }
+    if (is_healthy(*dip)) return *dip;
     affinity_.erase(flow);  // stale affinity to a dead backend
   }
   std::uint32_t dip = (policy_ == Policy::kConsistentHash)
                           ? pick_consistent(net::hash_flow(flow))
                           : pick_wrr();
-  if (dip != 0) {
+  if (dip != 0)
     affinity_.insert(flow, tenant, dip);  // cap-refused: re-resolve later
-    ++hits_[dip];
-  }
   return dip;
 }
 

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "click/element.hpp"
@@ -70,12 +69,6 @@ class LoadBalancerCore {
   }
   Policy policy() const noexcept { return policy_; }
 
-  /// Per-backend packet counts (for balance tests).
-  const std::unordered_map<std::uint32_t, std::uint64_t>& hits()
-      const noexcept {
-    return hits_;
-  }
-
  private:
   static constexpr int kVnodesPerWeight = 160;
   void rebuild_ring();
@@ -87,7 +80,6 @@ class LoadBalancerCore {
   std::vector<Backend> backends_;
   std::map<std::uint64_t, std::uint32_t> ring_;  // vnode hash -> dip
   FlowTable<std::uint32_t> affinity_;            // flow -> dip
-  std::unordered_map<std::uint32_t, std::uint64_t> hits_;
   // Smooth WRR state.
   std::vector<std::int64_t> wrr_current_;
 };

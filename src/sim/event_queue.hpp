@@ -1,10 +1,15 @@
-// EventQueue: the discrete-event core. A binary heap of (virtual time,
-// insertion sequence, callback); ties in time break by insertion order so
+// EventQueue: the discrete-event core. Events fire in (virtual time,
+// insertion sequence) order; ties in time break by insertion order so
 // runs are fully deterministic for a given seed.
+//
+// Allocation-free in steady state: the binary heap holds plain
+// {at, seq, slot} keys, and the callbacks live in a slab of reused slots
+// (UniqueFunction stores every hot-path capture inline). Only growth of
+// the heap or the slab past its high-water mark allocates.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -21,7 +26,17 @@ class EventQueue {
   /// Schedule `cb` at absolute virtual time `at_ns` (clamped to now()).
   void schedule_at(TimeNs at_ns, Callback cb) {
     if (at_ns < now_) at_ns = now_;
-    heap_.push(Event{at_ns, seq_++, std::move(cb)});
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slab_.size());
+      slab_.push_back(std::move(cb));
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      slab_[slot] = std::move(cb);
+    }
+    heap_.push_back(Key{at_ns, seq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
   /// Schedule `cb` `delay_ns` after now().
@@ -36,13 +51,14 @@ class EventQueue {
   /// Run the next event; returns false if none pending.
   bool step() {
     if (heap_.empty()) return false;
-    // priority_queue::top is const; the event must be moved out, so we
-    // const_cast around the API (the object is popped immediately after).
-    Event& top = const_cast<Event&>(heap_.top());
-    TimeNs t = top.at;
-    Callback cb = std::move(top.cb);
-    heap_.pop();
-    now_ = t;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Key top = heap_.back();
+    heap_.pop_back();
+    // Move the callback out before running it: it may schedule, and a
+    // slab growth would otherwise relocate it mid-call.
+    Callback cb = std::move(slab_[top.slot]);
+    free_.push_back(top.slot);
+    now_ = top.at;
     ++processed_;
     cb();
     return true;
@@ -56,7 +72,7 @@ class EventQueue {
 
   /// Run events with time <= until_ns; advances now() to until_ns.
   void run_until(TimeNs until_ns) {
-    while (!heap_.empty() && heap_.top().at <= until_ns) step();
+    while (!heap_.empty() && heap_.front().at <= until_ns) step();
     if (now_ < until_ns) now_ = until_ns;
   }
 
@@ -65,21 +81,27 @@ class EventQueue {
   /// cores): closures may own packets whose deleters touch the pool, so
   /// they must be destroyed while it is still alive.
   void clear() {
-    while (!heap_.empty()) heap_.pop();
+    heap_.clear();
+    free_.clear();
+    slab_.clear();
   }
 
  private:
-  struct Event {
+  struct Key {
     TimeNs at;
     std::uint64_t seq;
-    Callback cb;
-    // Min-heap via greater-than: earlier time first, then lower seq.
-    bool operator<(const Event& o) const noexcept {
-      return at != o.at ? at > o.at : seq > o.seq;
+    std::uint32_t slot;
+  };
+  // Max-heap comparator that puts the earliest (time, seq) on top.
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const noexcept {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
   };
 
-  std::priority_queue<Event> heap_;
+  std::vector<Key> heap_;
+  std::vector<Callback> slab_;
+  std::vector<std::uint32_t> free_;
   TimeNs now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;

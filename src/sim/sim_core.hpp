@@ -109,16 +109,23 @@ class SimCore {
     TimeNs finish = eq_.now() + job.service_ns;
     in_service_until_ = finish;
     busy_ns_ += job.service_ns;
-    eq_.schedule_at(finish, [this, done = std::move(job.done)]() mutable {
-      ++completed_;
-      done(eq_.now());
-      start_next();
-    });
+    in_service_done_ = std::move(job.done);
+    // The completion event captures only `this`: the in-service job's
+    // callback waits in in_service_done_ instead of a nested closure.
+    eq_.schedule_at(finish, [this] { complete(); });
+  }
+
+  void complete() {
+    ++completed_;
+    Done done = std::move(in_service_done_);
+    done(eq_.now());
+    start_next();
   }
 
   EventQueue& eq_;
   std::string name_;
   std::deque<Job> queue_;
+  Done in_service_done_;
   bool busy_ = false;
   bool in_service_theft_ = false;
   TimeNs in_service_until_ = 0;

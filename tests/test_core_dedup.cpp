@@ -1,12 +1,16 @@
 // Deduplicator tests: exactly-once acceptance, expected-count accounting,
-// hedge increments, cancellation, and the age sweep.
+// hedge increments, cancellation, and the age sweep; plus the FlatMap
+// behind the dedup ledger, churned against std::unordered_map.
 #include <gtest/gtest.h>
 
 #include "core/dedup.hpp"
+#include "core/flat_map.hpp"
 #include "core/reorder.hpp"
 #include "sim/rng.hpp"
 
 #include <iterator>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 namespace mdp::core {
@@ -213,6 +217,105 @@ TEST(Dedup, AcceptBatchMatchesScalarAccept) {
   EXPECT_EQ(batch.dup_drops(), scalar.dup_drops());
   EXPECT_EQ(batch.late_drops(), scalar.late_drops());
   EXPECT_EQ(batch.pending(), scalar.pending());
+}
+
+// Differential churn: FlatMap against std::unordered_map over inserts,
+// updates, erases, lookups and predicate sweeps, through many growths.
+// Keys mix a dense range (hits and erase chains) with sparse 64-bit keys
+// and dedup-style (flow << 40 ^ seq) keys.
+TEST(FlatMap, ChurnMatchesUnorderedMap) {
+  for (std::uint64_t seed : {3u, 17u, 977u}) {
+    sim::Rng rng(seed);
+    FlatMap<std::uint64_t, std::uint64_t> fm;
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    auto rand_key = [&]() -> std::uint64_t {
+      switch (rng.uniform_u64(3)) {
+        case 0: return rng.uniform_u64(512);
+        case 1: return rng.next_u64() | (std::uint64_t{1} << 63);
+        default:
+          return Deduplicator::key(
+              static_cast<std::uint32_t>(rng.uniform_u64(16)),
+              rng.uniform_u64(256));
+      }
+    };
+    std::size_t max_size = 0;
+    for (int op = 0; op < 10'000; ++op) {
+      const std::uint64_t k = rand_key();
+      const std::uint64_t r = rng.uniform_u64(100);
+      if (r < 40) {  // insert-if-absent
+        const std::uint64_t v = rng.next_u64();
+        auto [val, inserted] = fm.try_emplace(k, v);
+        auto [it, ref_inserted] = ref.try_emplace(k, v);
+        ASSERT_EQ(inserted, ref_inserted);
+        ASSERT_EQ(*val, it->second);
+      } else if (r < 55) {  // update through operator[]
+        ++fm[k];
+        ++ref[k];
+      } else if (r < 80) {
+        ASSERT_EQ(fm.erase(k), ref.erase(k) > 0);
+      } else if (r < 99) {
+        const std::uint64_t* v = fm.find(k);
+        auto it = ref.find(k);
+        ASSERT_EQ(v != nullptr, it != ref.end());
+        if (v) {
+          ASSERT_EQ(*v, it->second);
+        }
+      } else if (rng.uniform_u64(4) == 0) {  // sweep about a third
+        const std::uint64_t m = 1 + rng.uniform_u64(3);
+        auto pred = [m](std::uint64_t key, std::uint64_t v) {
+          return (key ^ v) % 3 == m % 3;
+        };
+        std::size_t ref_n = 0;
+        for (auto it = ref.begin(); it != ref.end();) {
+          if (pred(it->first, it->second)) {
+            it = ref.erase(it);
+            ++ref_n;
+          } else {
+            ++it;
+          }
+        }
+        ASSERT_EQ(fm.erase_if([&](std::uint64_t key, std::uint64_t& v) {
+                    return pred(key, v);
+                  }),
+                  ref_n);
+      }
+      ASSERT_EQ(fm.size(), ref.size()) << "seed " << seed << " op " << op;
+      max_size = std::max(max_size, ref.size());
+      if (op % 1000 == 999) {
+        for (const auto& [key, v] : ref) {
+          const std::uint64_t* got = fm.find(key);
+          ASSERT_TRUE(got) << "lost key " << key;
+          ASSERT_EQ(*got, v);
+        }
+      }
+    }
+    EXPECT_GE(fm.capacity(), 2 * max_size) << "load factor stays <= 1/2";
+    EXPECT_GT(max_size, 500u) << "the churn must force several growths";
+  }
+}
+
+TEST(FlatMap, EraseDestroysValues) {
+  auto token = std::make_shared<int>(0);
+  FlatMap<std::uint32_t, std::shared_ptr<int>> fm;
+  for (std::uint32_t k = 0; k < 100; ++k) fm.try_emplace(k, token);
+  EXPECT_EQ(token.use_count(), 101);
+  for (std::uint32_t k = 0; k < 100; k += 2) EXPECT_TRUE(fm.erase(k));
+  EXPECT_EQ(token.use_count(), 51);
+  EXPECT_EQ(fm.erase_if([](std::uint32_t k, const std::shared_ptr<int>&) {
+              return k % 4 == 1;
+            }),
+            25u);
+  EXPECT_EQ(token.use_count(), 26);
+  // A second try_emplace on a present key keeps the stored value.
+  auto [v, inserted] = fm.try_emplace(3, nullptr);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(*v, token);
+  EXPECT_EQ(fm.erase_if([](std::uint32_t, const std::shared_ptr<int>&) {
+              return true;
+            }),
+            25u);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(fm.size(), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include "core/dataplane.hpp"
 #include "net/packet_builder.hpp"
 #include "sim/interference.hpp"
+#include "workload/flow_size.hpp"
+#include "workload/rpc_workload.hpp"
 
 namespace mdp::core {
 namespace {
@@ -452,6 +454,131 @@ INSTANTIATE_TEST_SUITE_P(
     AllChains, ChainPresetConservation,
     ::testing::Values("ipcheck", "fw", "stateful", "fw-nat", "fw-nat-lb",
                       "fw-nat-lb-mon", "overlay", "full"));
+
+TEST(DataPlane, TeardownMidRunRecyclesEveryPacket) {
+  // Packets sit in every holder at once: in service on busy cores, queued
+  // behind a stalled core, parked as hedge clones, and pending in event
+  // closures. Destroying the plane (before or after clearing the queue)
+  // must return each of them to the pool.
+  for (bool clear_first : {true, false}) {
+    sim::EventQueue eq;
+    net::PacketPool pool(256, 2048);
+    DataPlaneConfig cfg;
+    cfg.num_paths = 4;
+    AdaptiveMdpConfig acfg;
+    acfg.hedge_timeout_ns = 200'000;  // hedges stay parked at the cut
+    auto dp = std::make_unique<MdpDataPlane>(
+        eq, pool, cfg, std::make_unique<AdaptiveMdpScheduler>(acfg));
+    std::uint64_t egressed = 0;
+    dp->set_egress([&](net::PacketPtr) { ++egressed; });
+    dp->core(0).submit(5'000'000, [](sim::TimeNs) {}, true, false);
+
+    for (int i = 0; i < 600; ++i) {
+      eq.schedule_at(static_cast<sim::TimeNs>(i) * 300, [&, i] {
+        net::BuildSpec spec;
+        spec.flow = {0x0a010101, 0x0a006401,
+                     static_cast<std::uint16_t>(1024 + i % 16), 80, 0};
+        auto pkt = net::build_udp(pool, spec);
+        ASSERT_TRUE(pkt);
+        pkt->anno().flow_id = static_cast<std::uint32_t>(i % 16);
+        pkt->anno().traffic_class = i % 4 == 0
+                                        ? net::TrafficClass::kLatencyCritical
+                                        : net::TrafficClass::kBestEffort;
+        dp->ingress(std::move(pkt));
+      });
+    }
+    eq.run_until(120'000);
+
+    std::size_t busy = 0;
+    for (std::size_t p = 0; p < 4; ++p) busy += dp->core(p).busy() ? 1 : 0;
+    EXPECT_GT(busy, 0u);
+    EXPECT_GT(dp->core(0).queue_depth(), 0u) << "stalled core holds jobs";
+    EXPECT_GT(dp->parked_hedges(), 0u);
+    EXPECT_GT(eq.size(), 0u);
+    EXPECT_GT(egressed, 0u);
+    EXPECT_GT(pool.in_use(), 0u);
+
+    if (clear_first) {
+      eq.clear();
+      dp.reset();
+    } else {
+      dp.reset();
+      eq.clear();
+    }
+    EXPECT_EQ(pool.in_use(), 0u) << "clear_first=" << clear_first;
+    EXPECT_EQ(pool.total_allocs(), pool.total_recycles())
+        << "clear_first=" << clear_first;
+  }
+}
+
+struct RpcOutcome {
+  std::uint64_t completed = 0;
+  std::uint64_t fct_count = 0, fct_sum = 0, fct_p99 = 0, fct_max = 0;
+  std::uint64_t egress = 0;
+  std::uint64_t extra_copy_bytes = 0;
+  std::size_t tracked_flows = 0;
+  std::size_t dedup_pending = 0;
+  std::size_t registered_flows = 0;
+  std::size_t pool_in_use = 0;
+};
+
+RpcOutcome run_rpc(bool end_flows) {
+  constexpr std::uint64_t kFlows = 300;
+  sim::EventQueue eq;
+  net::PacketPool pool(1024, 2048);
+  DataPlaneConfig cfg;
+  cfg.num_paths = 4;
+  cfg.dedup_sweep_interval_ns = 0;  // drainable queue
+  cfg.flow_repl.enabled = true;
+  MdpDataPlane dp(eq, pool, cfg, make_scheduler("rss"));
+  workload::RpcWorkloadConfig rc;
+  rc.seed = 11;
+  rc.mean_interarrival_ns = 40'000;
+  workload::RpcWorkload rpc(
+      eq, pool, rc, workload::flow_sizes_by_name("datamining"),
+      [&](net::PacketPtr pkt) { dp.ingress(std::move(pkt)); });
+  dp.set_egress([&](net::PacketPtr pkt) {
+    rpc.on_packet_egress(pkt->anno().flow_id, eq.now());
+  });
+  if (end_flows)
+    rpc.set_flow_done([&](std::uint32_t flow) { dp.end_flow(flow); });
+  rpc.start(kFlows);
+  eq.run();
+
+  RpcOutcome o;
+  o.completed = rpc.flows_completed();
+  o.fct_count = rpc.all_fct().count();
+  o.fct_sum = rpc.all_fct().sum();
+  o.fct_p99 = rpc.all_fct().p99();
+  o.fct_max = rpc.all_fct().max();
+  o.egress = dp.egress_count();
+  o.extra_copy_bytes = dp.extra_copy_bytes();
+  o.tracked_flows = dp.tracked_flows();
+  o.dedup_pending = dp.dedup().pending();
+  o.registered_flows = dp.dedup().registered_flows();
+  o.pool_in_use = pool.in_use();
+  EXPECT_EQ(o.completed, kFlows);
+  return o;
+}
+
+TEST(DataPlane, EndFlowRetiresSequenceStateWithoutChangingResults) {
+  const RpcOutcome kept = run_rpc(false);
+  const RpcOutcome retired = run_rpc(true);
+  // Without end_flow the plane keeps one sequence counter per flow seen.
+  EXPECT_EQ(kept.tracked_flows, 300u);
+  EXPECT_EQ(retired.tracked_flows, 0u);
+  EXPECT_EQ(retired.dedup_pending, 0u);
+  EXPECT_EQ(retired.registered_flows, 0u);
+  EXPECT_EQ(retired.pool_in_use, 0u);
+  // Retiring state at quiesce changes no delivery and no timing.
+  EXPECT_EQ(retired.completed, kept.completed);
+  EXPECT_EQ(retired.fct_count, kept.fct_count);
+  EXPECT_EQ(retired.fct_sum, kept.fct_sum);
+  EXPECT_EQ(retired.fct_p99, kept.fct_p99);
+  EXPECT_EQ(retired.fct_max, kept.fct_max);
+  EXPECT_EQ(retired.egress, kept.egress);
+  EXPECT_EQ(retired.extra_copy_bytes, kept.extra_copy_bytes);
+}
 
 TEST(DataPlane, RejectsInvalidConfig) {
   sim::EventQueue eq;

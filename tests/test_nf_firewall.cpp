@@ -82,11 +82,30 @@ TEST(FirewallTable, DefaultActionAppliesWhenNoMatch) {
   EXPECT_EQ(t.decide(mk("11.0.0.1", "2.2.2.2", 5, 6, 6)), FwAction::kDeny);
 }
 
+// Property: the trie walk (decide) and the in-order scan (decide_linear)
+// agree on every decision and on the fired rule index.
+void expect_trie_matches_linear(const FirewallTable& t, sim::Rng& rng,
+                                std::uint32_t biased_mask) {
+  for (int i = 0; i < 20'000; ++i) {
+    net::FlowKey f;
+    f.src_ip = static_cast<std::uint32_t>(rng.next_u64());
+    // Bias half the flows into the rule space for match coverage.
+    if (rng.bernoulli(0.5)) f.src_ip &= biased_mask;
+    f.dst_ip = static_cast<std::uint32_t>(rng.next_u64());
+    f.src_port = static_cast<std::uint16_t>(rng.uniform_u64(65536));
+    f.dst_port = static_cast<std::uint16_t>(rng.uniform_u64(2048));
+    f.protocol = rng.bernoulli(0.5) ? net::kIpProtoTcp : net::kIpProtoUdp;
+    std::size_t il = 0, it = 0;
+    FwAction al = t.decide_linear(f, &il);
+    FwAction at = t.decide(f, &it);
+    ASSERT_EQ(al, at) << "engine disagreement for " << f.to_string();
+    ASSERT_EQ(il, it) << "different rule fired for " << f.to_string();
+  }
+}
+
 TEST(FirewallTable, TrieEngineMatchesLinearOnRandomInputs) {
-  // Property: both engines agree on every decision and fired rule index.
   sim::Rng rng(2024);
-  FirewallTable linear, trie;
-  trie.set_engine(FirewallTable::Engine::kSrcTrie);
+  FirewallTable t;
   std::string err;
   for (int i = 0; i < 64; ++i) {
     char buf[128];
@@ -99,24 +118,41 @@ TEST(FirewallTable, TrieEngineMatchesLinearOnRandomInputs) {
                   len == 0 ? 8 : len, port, port + 200);
     auto rule = FwRule::parse(buf, &err);
     ASSERT_TRUE(rule) << buf << ": " << err;
-    linear.add_rule(*rule);
-    trie.add_rule(*rule);
+    t.add_rule(*rule);
   }
-  for (int i = 0; i < 20'000; ++i) {
-    net::FlowKey f;
-    f.src_ip = static_cast<std::uint32_t>(rng.next_u64());
-    // Bias half the flows into the rule space for match coverage.
-    if (rng.bernoulli(0.5)) f.src_ip &= 0xffff0000;
-    f.dst_ip = static_cast<std::uint32_t>(rng.next_u64());
-    f.src_port = static_cast<std::uint16_t>(rng.uniform_u64(65536));
-    f.dst_port = static_cast<std::uint16_t>(rng.uniform_u64(2048));
-    f.protocol = rng.bernoulli(0.5) ? net::kIpProtoTcp : net::kIpProtoUdp;
+  expect_trie_matches_linear(t, rng, 0xffff0000);
+
+  // The chain presets' rule set: bogon denies, a port rule anchored at
+  // the trie root, then /24 allows inside 10.0.0.0/16.
+  FirewallTable preset;
+  for (const auto& text : make_firewall_rules(32)) {
+    auto rule = FwRule::parse(text, &err);
+    ASSERT_TRUE(rule) << text << ": " << err;
+    preset.add_rule(*rule);
+  }
+  ASSERT_EQ(preset.num_rules(), 32u);
+  expect_trie_matches_linear(preset, rng, 0x0a00ffff);
+  for (std::uint32_t hi : {0x00u, 0x7fu, 0xe0u, 0x0au}) {
+    net::FlowKey f = mk("0.0.0.0", "1.1.1.1", 1, 23, net::kIpProtoTcp);
+    f.src_ip = hi << 24 | 0x001c07u;
     std::size_t il = 0, it = 0;
-    FwAction al = linear.decide(f, &il);
-    FwAction at = trie.decide(f, &it);
-    ASSERT_EQ(al, at) << "engine disagreement for " << f.to_string();
-    ASSERT_EQ(il, it) << "different rule fired for " << f.to_string();
+    EXPECT_EQ(preset.decide_linear(f, &il), preset.decide(f, &it));
+    EXPECT_EQ(il, it);
   }
+
+  // The configured engine picks the cost model only, never the decision.
+  preset.set_engine(FirewallTable::Engine::kSrcTrie);
+  expect_trie_matches_linear(preset, rng, 0x0a00ffff);
+}
+
+TEST(FirewallTable, EmptyRuleSetTakesDefault) {
+  FirewallTable t;
+  std::size_t idx = 99;
+  EXPECT_EQ(t.decide(mk("10.0.0.1", "2.2.2.2", 5, 6, 6), &idx),
+            FwAction::kAllow);
+  EXPECT_EQ(idx, 0u);
+  t.set_default(FwAction::kDeny);
+  EXPECT_EQ(t.decide(mk("10.0.0.1", "2.2.2.2", 5, 6, 6)), FwAction::kDeny);
 }
 
 TEST(FirewallElement, RoutesAllowAndDenyPorts) {

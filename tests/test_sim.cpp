@@ -3,6 +3,9 @@
 // the multi-queue NIC.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <queue>
 #include <vector>
 
 #include "net/packet_builder.hpp"
@@ -80,6 +83,214 @@ TEST(EventQueue, MoveOnlyCaptures) {
   eq.schedule_at(1, [p = std::move(p), &got] { got = *p; });
   eq.run();
   EXPECT_EQ(got, 7);
+}
+
+// Differential property test: the slab-backed queue against a reference
+// std::priority_queue model of the (time, insertion-seq) contract. Both
+// receive the same operation stream; fired callbacks schedule children
+// (some in the past, some at equal times) through the same pure rule.
+class RefQueue {
+ public:
+  void schedule_at(TimeNs at, std::uint64_t id) {
+    if (at < now_) at = now_;
+    heap_.push(Ev{at, seq_++, id});
+  }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+  TimeNs now() const { return now_; }
+  std::uint64_t pop() {
+    Ev e = heap_.top();
+    heap_.pop();
+    now_ = e.at;
+    return e.id;
+  }
+
+ private:
+  struct Ev {
+    TimeNs at;
+    std::uint64_t seq;
+    std::uint64_t id;
+    bool operator<(const Ev& o) const {
+      return at != o.at ? at > o.at : seq > o.seq;
+    }
+  };
+  std::priority_queue<Ev> heap_;
+  TimeNs now_ = 0;
+  std::uint64_t seq_ = 0;
+};
+
+// Children an event spawns when it fires: a pure function of its id.
+// Offsets are relative to now(); negative ones exercise the past clamp.
+std::vector<std::int64_t> child_offsets(std::uint64_t id) {
+  std::uint64_t h = (id + 1) * 0x9E3779B97F4A7C15ull;
+  h ^= h >> 29;
+  std::vector<std::int64_t> out;
+  const std::uint64_t n = (h & 7) < 5 ? 0 : (h & 7) - 4;  // 0..3
+  for (std::uint64_t c = 0; c < n; ++c) {
+    h = h * 6364136223846793005ull + 1442695040888963407ull;
+    out.push_back(static_cast<std::int64_t>((h >> 33) % 40) - 10);
+  }
+  return out;
+}
+
+TimeNs offset_time(TimeNs now, std::int64_t off) {
+  return off < 0 && static_cast<TimeNs>(-off) > now
+             ? 0
+             : static_cast<TimeNs>(static_cast<std::int64_t>(now) + off);
+}
+
+struct QueueUnderTest {
+  EventQueue eq;
+  std::uint64_t next_id = 0;
+  std::vector<std::pair<std::uint64_t, TimeNs>> fired;
+
+  void schedule(TimeNs at) { schedule_id(at, next_id++); }
+  void schedule_id(TimeNs at, std::uint64_t id) {
+    auto on_fire = [this, id] {
+      fired.emplace_back(id, eq.now());
+      for (std::int64_t off : child_offsets(id))
+        schedule_id(offset_time(eq.now(), off), next_id++);
+    };
+    if (id % 5 == 0) {
+      // A capture too large for the inline buffer (heap fallback).
+      std::array<std::uint64_t, 8> pad{};
+      pad[7] = id;
+      eq.schedule_at(at, [on_fire, pad]() mutable {
+        ASSERT_EQ(pad[7] % 5, 0u);
+        on_fire();
+      });
+    } else if (id % 5 == 1) {
+      auto owned = std::make_unique<std::uint64_t>(id);
+      eq.schedule_at(at, [on_fire, o = std::move(owned)]() mutable {
+        ASSERT_EQ(*o % 5, 1u);
+        on_fire();
+      });
+    } else {
+      eq.schedule_at(at, on_fire);
+    }
+  }
+};
+
+TEST(EventQueue, MatchesReferenceModelOnRandomSchedules) {
+  for (std::uint64_t seed : {1u, 5u, 977u}) {
+    Rng rng(seed);
+    QueueUnderTest real;
+    RefQueue ref;
+    std::uint64_t ref_next_id = 0;
+    std::vector<std::pair<std::uint64_t, TimeNs>> ref_fired;
+    auto ref_step = [&] {
+      const std::uint64_t id = ref.pop();
+      ref_fired.emplace_back(id, ref.now());
+      for (std::int64_t off : child_offsets(id))
+        ref.schedule_at(offset_time(ref.now(), off), ref_next_id++);
+    };
+
+    for (int op = 0; op < 100'000; ++op) {
+      // Times cluster near now(), so equal times are common and some
+      // land in the past.
+      const TimeNs now = real.eq.now();
+      const auto off = static_cast<std::int64_t>(rng.uniform_u64(64)) - 16;
+      const TimeNs at = offset_time(now, off);
+      real.schedule(at);
+      ref.schedule_at(at, ref_next_id++);
+      const std::uint64_t steps = rng.uniform_u64(3);
+      for (std::uint64_t s = 0; s < steps && !ref.empty(); ++s) {
+        ASSERT_TRUE(real.eq.step());
+        ref_step();
+        ASSERT_EQ(real.eq.now(), ref.now()) << "seed " << seed;
+      }
+      ASSERT_EQ(real.eq.size(), ref.size()) << "seed " << seed;
+    }
+    while (!ref.empty()) {
+      ASSERT_TRUE(real.eq.step());
+      ref_step();
+    }
+    EXPECT_FALSE(real.eq.step());
+    EXPECT_EQ(real.fired, ref_fired) << "seed " << seed;
+    EXPECT_EQ(real.eq.events_processed(), ref_fired.size());
+    EXPECT_EQ(real.eq.now(), ref.now());
+    EXPECT_GT(ref_fired.size(), 100'000u);  // children fired too
+  }
+}
+
+// Counts destructions of live (not moved-from) instances.
+struct DtorCounter {
+  int* count;
+  bool live = true;
+  explicit DtorCounter(int* c) : count(c) {}
+  DtorCounter(DtorCounter&& o) noexcept : count(o.count) { o.live = false; }
+  DtorCounter& operator=(DtorCounter&&) = delete;
+  ~DtorCounter() {
+    if (live) ++*count;
+  }
+};
+
+TEST(UniqueFunction, InlineAndHeapCapturesCall) {
+  using Fn = UniqueFunction<int(int)>;
+  std::array<char, 40> small{};
+  small[39] = 3;
+  auto inline_fn = [small](int x) { return x + small[39]; };
+  std::array<char, 200> big{};
+  big[199] = 9;
+  auto heap_fn = [big](int x) { return x + big[199]; };
+  static_assert(Fn::stores_inline<decltype(inline_fn)>());
+  static_assert(!Fn::stores_inline<decltype(heap_fn)>());
+
+  Fn a = inline_fn;
+  Fn b = heap_fn;
+  EXPECT_EQ(a(1), 4);
+  EXPECT_EQ(b(1), 10);
+  Fn c = std::move(a);
+  Fn d = std::move(b);
+  EXPECT_FALSE(a);
+  EXPECT_FALSE(b);
+  EXPECT_EQ(c(2), 5);
+  EXPECT_EQ(d(2), 11);
+  std::swap(c, d);
+  EXPECT_EQ(c(0), 9);
+  EXPECT_EQ(d(0), 3);
+}
+
+TEST(UniqueFunction, MoveOnlyCaptures) {
+  UniqueFunction<int()> f = [p = std::make_unique<int>(42)] { return *p; };
+  UniqueFunction<int()> g = std::move(f);
+  EXPECT_EQ(g(), 42);
+}
+
+TEST(UniqueFunction, DestructorRunsExactlyOnce) {
+  // Inline and heap-fallback captures, through move construction, move
+  // assignment onto empty and onto occupied targets, and destruction.
+  for (bool heap : {false, true}) {
+    int dtors = 0;
+    {
+      UniqueFunction<void()> f;
+      if (heap) {
+        std::array<char, 100> pad{};
+        f = [t = DtorCounter(&dtors), pad] { (void)pad; };
+      } else {
+        f = [t = DtorCounter(&dtors)] {};
+      }
+      EXPECT_EQ(dtors, 0);
+      UniqueFunction<void()> g = std::move(f);
+      UniqueFunction<void()> h;
+      h = std::move(g);
+      g = std::move(h);
+      g();
+      EXPECT_EQ(dtors, 0) << "heap=" << heap;
+    }
+    EXPECT_EQ(dtors, 1) << "heap=" << heap;
+  }
+
+  int replaced = 0, kept = 0;
+  {
+    UniqueFunction<void()> a = [t = DtorCounter(&replaced)] {};
+    UniqueFunction<void()> b = [t = DtorCounter(&kept)] {};
+    a = std::move(b);  // destroys a's old callable now
+    EXPECT_EQ(replaced, 1);
+    EXPECT_EQ(kept, 0);
+  }
+  EXPECT_EQ(replaced, 1);
+  EXPECT_EQ(kept, 1);
 }
 
 TEST(Rng, DeterministicForSeed) {
