@@ -186,6 +186,49 @@ static void BM_ReorderInOrder(benchmark::State& state) {
 }
 BENCHMARK(BM_ReorderInOrder);
 
+// The shape of a hedging plane's event queue: one fixed-delay timer armed
+// per arrival (about 1500 pending) and 4 core-completion events. One step
+// pops one event, which schedules its successor. Arg(0) keeps the timers
+// on the heap; Arg(1) arms them on a FIFO timer lane.
+class FixedDelayLoad {
+ public:
+  static constexpr sim::TimeNs kGap = 100;
+  static constexpr sim::TimeNs kDelay = 1500 * kGap;
+
+  explicit FixedDelayLoad(bool use_lane) : use_lane_(use_lane) {
+    arrive();
+    for (sim::TimeNs c = 0; c < 4; ++c) complete(c);
+    while (eq_.now() < kDelay) eq_.step();  // fill to steady state
+  }
+  sim::EventQueue& eq() { return eq_; }
+
+ private:
+  void arrive() {
+    auto timer = [this] { ++timers_fired_; };
+    if (use_lane_)
+      eq_.schedule_lane_in(lane_, kDelay, timer);
+    else
+      eq_.schedule_in(kDelay, timer);
+    eq_.schedule_in(kGap, [this] { arrive(); });
+  }
+  void complete(sim::TimeNs core) {
+    eq_.schedule_in(3 * kGap + 7 * core, [this, core] { complete(core); });
+  }
+
+  sim::EventQueue eq_;
+  sim::EventQueue::Lane lane_ = eq_.add_lane();
+  bool use_lane_;
+  std::uint64_t timers_fired_ = 0;
+};
+
+static void BM_EventQueueFixedDelay(benchmark::State& state) {
+  FixedDelayLoad load(state.range(0) != 0);
+  for (auto _ : state) load.eq().step();
+  state.counters["pending"] = static_cast<double>(load.eq().size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueFixedDelay)->Arg(0)->Arg(1);  // 0=heap, 1=lane
+
 static void BM_AhoCorasickScan(benchmark::State& state) {
   nf::AhoCorasick ac;
   ac.add_pattern("EVILPATTERN");

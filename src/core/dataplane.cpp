@@ -34,7 +34,8 @@ MdpDataPlane::MdpDataPlane(sim::EventQueue& eq, net::PacketPool& pool,
       rng_(cfg.seed),
       // Unit-mean lognormal: mu = -sigma^2/2.
       jitter_(-cfg.service_jitter_sigma * cfg.service_jitter_sigma / 2,
-              cfg.service_jitter_sigma) {
+              cfg.service_jitter_sigma),
+      hedge_lane_(eq.add_lane()) {
   if (cfg_.num_paths == 0) throw std::invalid_argument("num_paths == 0");
   if (!scheduler_) throw std::invalid_argument("null scheduler");
 
@@ -168,16 +169,11 @@ void MdpDataPlane::ingress(net::PacketPtr pkt) {
       fast_counters_.inc(DpCounter::kReplicas, select_buf_.size() - 1);
   }
 
-  // Hedging: single-copy packets may get a late second copy. The clone is
-  // parked now (the original moves into the path job and becomes
-  // inaccessible) and dispatched only if the timeout fires first.
+  // Hedging: single-copy packets may get a late second copy. Only the
+  // timer is armed here; the copy is cloned if the timeout fires first.
   if (select_buf_.size() == 1 && granularity_allows_hedge(granularity_)) {
     sim::TimeNs timeout = scheduler_->hedge_timeout_ns(*pkt, *this);
-    if (timeout > 0) {
-      net::PacketPtr clone = pool_.clone(*pkt);
-      if (clone)
-        arm_hedge(k, select_buf_[0], timeout, std::move(clone));
-    }
+    if (timeout > 0) arm_hedge(k, select_buf_[0], timeout, *pkt);
   }
 
   // Dispatch copies: clones first (the original is consumed last).
@@ -201,10 +197,17 @@ void MdpDataPlane::dispatch(std::uint16_t path, net::PacketPtr pkt) {
   auto& a = pkt->anno();
   if (cfg_.path_queue_capacity > 0 &&
       paths_[path].core->queue_depth() >= cfg_.path_queue_capacity) {
-    // Tail drop at the path queue: release the dedup slot so merged
-    // delivery of surviving copies still works.
-    dedup_.cancel_one(Deduplicator::key(a.flow_id, a.seq));
+    // Tail drop at the path queue. An original with a parked hedge passes
+    // into the parked entry and keeps its dedup slot: the hedge rescues
+    // it when the timer fires. Any other copy releases its dedup slot so
+    // merged delivery of surviving copies still works.
+    const std::uint64_t k = Deduplicator::key(a.flow_id, a.seq);
     fast_counters_.inc(DpCounter::kQueueDrops);
+    ParkedHedge* h = hedge_parked_.find(k);
+    if (h && h->original == pkt.get())
+      h->dropped = std::move(pkt);
+    else
+      dedup_.cancel_one(k);
     return;
   }
   a.dispatch_ns = eq_.now();
@@ -247,11 +250,14 @@ void MdpDataPlane::dispatch(std::uint16_t path, net::PacketPtr pkt) {
         // Push through the real chain replica; PathEgress sets the flag.
         // If the chain filtered the packet (firewall deny, DPI drop), the
         // copy will never reach the merge stage — release its dedup slot.
+        // Every path runs the same chain, so the verdict holds for every
+        // copy: a parked hedge is cancelled too.
         egress_consumed_ = false;
         paths_[path].chain_head->push(0, std::move(pkt));
         if (!egress_consumed_) {
           monitor_.on_filtered(path);
           dedup_.cancel_one(k);
+          hedge_parked_.erase(k);
           fast_counters_.inc(DpCounter::kChainFiltered);
         }
       },
@@ -275,7 +281,7 @@ void MdpDataPlane::on_path_complete(std::uint16_t path, net::PacketPtr pkt) {
 #endif
 
   const std::uint64_t k = Deduplicator::key(a.flow_id, a.seq);
-  // First completion cancels any parked hedge copy.
+  // First completion cancels any parked hedge.
   hedge_parked_.erase(k);
 
   if (!dedup_.accept(k)) {
@@ -286,27 +292,35 @@ void MdpDataPlane::on_path_complete(std::uint16_t path, net::PacketPtr pkt) {
 }
 
 void MdpDataPlane::arm_hedge(std::uint64_t key, std::uint16_t original_path,
-                             sim::TimeNs timeout, net::PacketPtr clone) {
-  clone->anno().hedged = true;
-  clone->anno().is_replica = true;
-  clone->anno().copy_index = 1;
-  hedge_parked_.try_emplace(key, std::move(clone));
-  eq_.schedule_in(timeout, [this, key, original_path] {
-    net::PacketPtr* parked = hedge_parked_.find(key);
-    if (!parked) return;  // original completed in time
-    net::PacketPtr copy = std::move(*parked);
+                             sim::TimeNs timeout,
+                             const net::Packet& original) {
+  hedge_parked_.try_emplace(key, ParkedHedge{&original, nullptr});
+  eq_.schedule_lane_in(hedge_lane_, timeout, [this, key, original_path] {
+    ParkedHedge* parked = hedge_parked_.find(key);
+    if (!parked) return;  // original completed or was filtered in time
+    // A tail-dropped original is re-sent itself, into the dedup slot it
+    // kept; otherwise the copy is cloned now and needs a slot of its own.
+    const bool rescue = parked->dropped != nullptr;
+    net::PacketPtr copy = rescue ? std::move(parked->dropped)
+                                 : pool_.clone(*parked->original);
     hedge_parked_.erase(key);
-    // Best alternate: least-backlogged up path that is not the original.
-    PathVec two;
-    k_least_backlog_paths(*this, 2, two);
+    if (!copy) return;  // pool exhausted: no hedge
+    if (!rescue) dedup_.add_expected(key);
+    copy->anno().hedged = true;
+    copy->anno().is_replica = true;
+    copy->anno().copy_index = 1;
+    // Best alternate: least-backlogged up path that is not the original
+    // (ties to the lowest id); the original's path when there is none.
     std::uint16_t alt = original_path;
-    for (std::uint16_t cand : two) {
-      if (cand != original_path) {
-        alt = cand;
-        break;
+    sim::TimeNs alt_backlog = 0;
+    for (std::uint16_t p = 0; p < paths_.size(); ++p) {
+      if (p == original_path || !paths_[p].up) continue;
+      const sim::TimeNs b = backlog_ns(p);
+      if (alt == original_path || b < alt_backlog) {
+        alt = p;
+        alt_backlog = b;
       }
     }
-    dedup_.add_expected(key);
     fast_counters_.inc(DpCounter::kHedges);
     extra_copy_bytes_ += copy->length();
     dispatch(alt, std::move(copy));

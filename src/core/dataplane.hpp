@@ -121,13 +121,15 @@ class MdpDataPlane final : public PathContext {
   Granularity granularity() const noexcept { return granularity_; }
 
   /// Flow completed (workload signal): forget its replication decision,
-  /// its sequence counter and its pending dedup entries. Copies still in
-  /// flight become late drops — released, never double-delivered. The
-  /// flow id must not be reused afterwards (its sequence would restart).
+  /// its sequence counter, its pending dedup entries and the scheduler's
+  /// per-flow state. Copies still in flight become late drops — released,
+  /// never double-delivered. The flow id must not be reused afterwards
+  /// (its sequence would restart).
   void end_flow(std::uint32_t flow_id) {
     if (replicator_) replicator_->erase(flow_id);
     next_seq_.erase(flow_id);
     dedup_.release_flow(flow_id);
+    scheduler_->end_flow(flow_id);
   }
 
   // --- PathContext (the scheduler's view) -----------------------------------
@@ -186,7 +188,7 @@ class MdpDataPlane final : public PathContext {
 
   /// Flows holding a per-flow sequence counter (retired by end_flow).
   std::size_t tracked_flows() const noexcept { return next_seq_.size(); }
-  /// Hedge copies parked waiting for their timeout.
+  /// Hedges armed and waiting for their timeout (no copy exists yet).
   std::size_t parked_hedges() const noexcept { return hedge_parked_.size(); }
 
   std::uint64_t ingress_count() const noexcept { return ingress_count_; }
@@ -213,10 +215,24 @@ class MdpDataPlane final : public PathContext {
     bool up = true;
   };
 
+  // A hedge armed for a single-copy packet. Until its timer fires the
+  // original is queued or in service on its path core: it has not entered
+  // the chain, so its bytes and annotations are as at ingress and the
+  // hedge copy is cloned from it only if the timer fires. Whatever ends
+  // the original first ends the entry: completion and chain filtering
+  // erase it, and a path-queue tail drop hands the original itself over
+  // (`dropped`). Only the entry's own timer dereferences `original`, so
+  // EventQueue::clear() (which destroys the timer) leaves nothing to
+  // dangle.
+  struct ParkedHedge {
+    const net::Packet* original;  // not owned
+    net::PacketPtr dropped;  // the original, after a path-queue tail drop
+  };
+
   void dispatch(std::uint16_t path, net::PacketPtr pkt);
   void on_path_complete(std::uint16_t path, net::PacketPtr pkt);
   void arm_hedge(std::uint64_t key, std::uint16_t original_path,
-                 sim::TimeNs timeout, net::PacketPtr clone);
+                 sim::TimeNs timeout, const net::Packet& original);
   void schedule_dedup_sweep();
   sim::TimeNs service_time(const net::Packet& pkt);
 
@@ -239,8 +255,8 @@ class MdpDataPlane final : public PathContext {
   stats::CounterSet adhoc_counters_;
   trace::Tracer* tracer_ = nullptr;
   FlatMap<std::uint32_t, std::uint64_t> next_seq_;
-  // Hedge copies parked until the timeout decides their fate.
-  FlatMap<std::uint64_t, net::PacketPtr> hedge_parked_;
+  FlatMap<std::uint64_t, ParkedHedge> hedge_parked_;
+  sim::EventQueue::Lane hedge_lane_;  // hedge timers, a timeout ahead
   std::uint64_t ingress_count_ = 0;
   std::uint64_t egress_count_ = 0;
   std::uint64_t ingress_bytes_ = 0;

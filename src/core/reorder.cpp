@@ -26,8 +26,8 @@ void ReorderBuffer::drain(FlowState& st) {
 void ReorderBuffer::arm_timer(std::uint32_t flow_id, FlowState& st) {
   if (st.timer_armed) return;
   st.timer_armed = true;
-  eq_.schedule_in(cfg_.timeout_ns,
-                  [this, flow_id] { on_timeout(flow_id); });
+  eq_.schedule_lane_in(lane_, cfg_.timeout_ns,
+                       [this, flow_id] { on_timeout(flow_id); });
 }
 
 void ReorderBuffer::on_timeout(std::uint32_t flow_id) {

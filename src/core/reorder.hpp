@@ -33,7 +33,7 @@ class ReorderBuffer {
   using Emit = std::function<void(net::PacketPtr)>;
 
   ReorderBuffer(sim::EventQueue& eq, ReorderConfig cfg, Emit emit)
-      : eq_(eq), cfg_(cfg), emit_(std::move(emit)) {}
+      : eq_(eq), lane_(eq.add_lane()), cfg_(cfg), emit_(std::move(emit)) {}
 
   /// Hand over a deduplicated packet (anno.flow_id / anno.seq valid).
   void submit(net::PacketPtr pkt);
@@ -84,6 +84,7 @@ class ReorderBuffer {
   void release(FlowState& st, net::PacketPtr pkt, sim::TimeNs arrived_ns);
 
   sim::EventQueue& eq_;
+  sim::EventQueue::Lane lane_;  // timeouts: always timeout_ns ahead
   ReorderConfig cfg_;
   Emit emit_;
   std::unordered_map<std::uint32_t, FlowState> flows_;

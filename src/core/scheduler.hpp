@@ -124,6 +124,10 @@ class Scheduler {
     (void)latency_ns;
   }
 
+  /// Flow completed (MdpDataPlane::end_flow): drop any per-flow state.
+  /// The flow id is not seen again.
+  virtual void end_flow(std::uint32_t flow_id) { (void)flow_id; }
+
   /// Control-plane actuation: set the replication factor at runtime
   /// (ctrl::AdaptiveHedger). Returns false when the policy does not
   /// replicate (the default); replicating policies clamp and apply.
@@ -239,9 +243,12 @@ class FlowletScheduler final : public Scheduler {
   std::string name() const override { return "flowlet"; }
   void select(const net::Packet& pkt, const PathContext& ctx, sim::Rng&,
               PathVec& out) override;
+  void end_flow(std::uint32_t flow_id) override { table_.erase(flow_id); }
 
   sim::TimeNs gap_ns() const noexcept { return gap_ns_; }
   std::uint64_t flowlet_switches() const noexcept { return switches_; }
+  /// Flows holding a flowlet entry (retired by end_flow).
+  std::size_t tracked_flows() const noexcept { return table_.size(); }
 
  private:
   struct FlowletState {
@@ -333,8 +340,13 @@ class AdaptiveMdpScheduler final : public Scheduler {
     cfg_.hedge_timeout_ns = timeout_ns;
     return true;
   }
+  void end_flow(std::uint32_t flow_id) override { flowlet_.end_flow(flow_id); }
 
   const AdaptiveMdpConfig& config() const noexcept { return cfg_; }
+  /// Flows holding a flowlet entry (retired by end_flow).
+  std::size_t tracked_flows() const noexcept {
+    return flowlet_.tracked_flows();
+  }
   std::uint64_t replicated() const noexcept { return replicated_; }
 
  private:

@@ -237,7 +237,9 @@ TEST_P(BackendConformance, ZeroCapacityAndIdleWireEdgeCases) {
     h->dut_loop->advance(16);
     EXPECT_EQ(h->dut_loop->in_flight(), 0u);
   }
-  if (h->peer_loop) EXPECT_EQ(h->peer_loop->flush(), 0u);
+  if (h->peer_loop) {
+    EXPECT_EQ(h->peer_loop->flush(), 0u);
+  }
 
   // Now prime one frame and confirm zero-capacity rx STILL returns
   // nothing (capacity, not availability, is the bound) and doesn't

@@ -352,6 +352,157 @@ TEST_P(FailureFlappingFuzz, ExactlyOnceUnderPathFlapping) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FailureFlappingFuzz,
                          ::testing::Range(1, 7));
 
+// Deferred hedges. Two paths and the adaptive policy with a fixed 5 µs
+// hedge budget. With the cost-model-only chain (cost_model_only()) egress
+// bytes are ingress bytes. Two warm-up packets give flow 7 sequence
+// numbers 0 and 1; then send_hedged() ingresses seq 2 onto path 0 with
+// path 1 down, so its hedge, if it fires, goes to path 1.
+struct HedgeRig {
+  struct Seen {
+    std::uint32_t flow_id;
+    std::uint64_t seq;
+    std::uint64_t ingress_ns;
+    std::uint16_t path_id;
+    std::uint8_t copy_index;
+    bool is_replica;
+    bool hedged;
+    std::vector<std::byte> bytes;
+  };
+
+  static constexpr sim::TimeNs kSendAt = 50'000;
+
+  static DataPlaneConfig cost_model_only() {
+    DataPlaneConfig cfg;
+    cfg.functional_chain = false;
+    return cfg;
+  }
+
+  sim::EventQueue eq;
+  net::PacketPool pool{64, 2048};
+  std::unique_ptr<MdpDataPlane> dp;
+  std::vector<Seen> egressed;
+
+  explicit HedgeRig(DataPlaneConfig cfg) {
+    cfg.num_paths = 2;
+    cfg.dedup_sweep_interval_ns = 0;
+    AdaptiveMdpConfig acfg;
+    acfg.hedge_timeout_ns = 5'000;
+    dp = std::make_unique<MdpDataPlane>(
+        eq, pool, cfg, std::make_unique<AdaptiveMdpScheduler>(acfg));
+    dp->set_egress([this](net::PacketPtr p) {
+      const auto& a = p->anno();
+      egressed.push_back({a.flow_id, a.seq, a.ingress_ns, a.path_id,
+                          a.copy_index, a.is_replica, a.hedged,
+                          {p->data(), p->data() + p->length()}});
+    });
+    for (sim::TimeNs at : {10, 20})
+      eq.schedule_at(at, [this] { dp->ingress(make(0x0a010101)); });
+  }
+  ~HedgeRig() { eq.clear(); }
+
+  net::PacketPtr make(std::uint32_t src_ip) {
+    net::BuildSpec spec;
+    spec.flow = {src_ip, 0x0a006401, 1024, 80, 0};
+    auto pkt = net::build_udp(pool, spec);
+    EXPECT_TRUE(pkt);
+    pkt->anno().flow_id = 7;
+    return pkt;
+  }
+
+  /// Ingress seq 2 at kSendAt, first putting `stall_jobs` invisible
+  /// 2 ms theft jobs on path 0 (one in service, the rest queued).
+  /// Returns the packet's ingress bytes.
+  std::vector<std::byte> send_hedged(std::uint32_t src_ip, int stall_jobs) {
+    net::PacketPtr pkt = make(src_ip);
+    std::vector<std::byte> bytes(pkt->data(), pkt->data() + pkt->length());
+    eq.schedule_at(kSendAt, [this, stall_jobs, p = std::move(pkt)]() mutable {
+      for (int i = 0; i < stall_jobs; ++i)
+        dp->core(0).submit(2'000'000, [](sim::TimeNs) {}, true, false);
+      dp->set_path_up(1, false);
+      dp->ingress(std::move(p));
+      dp->set_path_up(1, true);
+    });
+    return bytes;
+  }
+
+  const Seen* find_seq(std::uint64_t seq) const {
+    for (const Seen& s : egressed)
+      if (s.seq == seq) return &s;
+    return nullptr;
+  }
+
+  void expect_pool_balanced() const {
+    EXPECT_EQ(dp->parked_hedges(), 0u);
+    EXPECT_EQ(dp->dedup().pending(), 0u);
+    EXPECT_EQ(pool.in_use(), 0u);
+    EXPECT_EQ(pool.total_allocs(), pool.total_recycles());
+  }
+};
+
+TEST(DataPlane, HedgeClonedAtFireCarriesOriginalIngressState) {
+  HedgeRig rig(HedgeRig::cost_model_only());
+  const std::vector<std::byte> bytes = rig.send_hedged(0x0a010101, 1);
+  // The hedge fires while the original still waits behind the theft.
+  rig.eq.run_until(HedgeRig::kSendAt + 5'000);
+  EXPECT_EQ(rig.dp->parked_hedges(), 0u);
+  EXPECT_EQ(rig.dp->counters().get("hedges"), 1u);
+  EXPECT_EQ(rig.dp->core(0).queue_depth(), 1u) << "original still queued";
+  rig.eq.run();
+
+  ASSERT_EQ(rig.egressed.size(), 3u);
+  const HedgeRig::Seen* h = rig.find_seq(2);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->flow_id, 7u);
+  EXPECT_EQ(h->ingress_ns, HedgeRig::kSendAt);
+  EXPECT_EQ(h->path_id, 1u);
+  EXPECT_TRUE(h->hedged);
+  EXPECT_TRUE(h->is_replica);
+  EXPECT_EQ(h->copy_index, 1u);
+  EXPECT_EQ(h->bytes, bytes);
+  EXPECT_EQ(rig.dp->counters().get("dup_dropped"), 1u)
+      << "the original completes after the theft and is dropped at merge";
+  rig.expect_pool_balanced();
+}
+
+TEST(DataPlane, TailDroppedOriginalIsRescuedByItsParkedHedge) {
+  DataPlaneConfig cfg = HedgeRig::cost_model_only();
+  cfg.path_queue_capacity = 1;
+  HedgeRig rig(cfg);
+  // One theft job in service and one queued: path 0's queue is full.
+  const std::vector<std::byte> bytes = rig.send_hedged(0x0a010101, 2);
+  rig.eq.run();
+
+  const auto c = rig.dp->counters();
+  EXPECT_EQ(c.get("queue_drops"), 1u);
+  EXPECT_EQ(c.get("hedges"), 1u);
+  EXPECT_EQ(c.get("dup_dropped"), 0u);
+  EXPECT_EQ(rig.dp->dedup().late_drops(), 0u);
+  ASSERT_EQ(rig.egressed.size(), 3u) << "delivered exactly once";
+  const HedgeRig::Seen* h = rig.find_seq(2);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->path_id, 1u);
+  EXPECT_TRUE(h->hedged);
+  EXPECT_EQ(h->copy_index, 1u);
+  EXPECT_EQ(h->bytes, bytes);
+  rig.expect_pool_balanced();
+}
+
+TEST(DataPlane, ChainFilteredOriginalCancelsItsHedge) {
+  DataPlaneConfig cfg;
+  cfg.chain = "fw";
+  HedgeRig rig(cfg);
+  rig.send_hedged(0x7f000001, 0);  // denied by the preset rules
+  rig.eq.run();
+
+  const auto c = rig.dp->counters();
+  EXPECT_EQ(c.get("chain_filtered"), 1u);
+  EXPECT_EQ(c.get("hedges"), 0u)
+      << "the chain's verdict holds for the hedge copy too";
+  EXPECT_EQ(rig.egressed.size(), 2u);
+  EXPECT_EQ(rig.find_seq(2), nullptr);
+  rig.expect_pool_balanced();
+}
+
 TEST(DataPlane, BoundedPathQueueDropsUnderOverload) {
   DataPlaneConfig cfg;
   cfg.path_queue_capacity = 8;
@@ -447,7 +598,9 @@ TEST_P(ChainPresetConservation, IngressFullyAccounted) {
             egressed + dup + filtered)
       << GetParam() << ": every dispatched copy accounted";
   EXPECT_EQ(pool.in_use(), 0u) << GetParam();
-  if (GetParam() == "ipcheck") EXPECT_EQ(egressed, 400u);
+  if (GetParam() == "ipcheck") {
+    EXPECT_EQ(egressed, 400u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -512,6 +665,7 @@ TEST(DataPlane, TeardownMidRunRecyclesEveryPacket) {
 }
 
 struct RpcOutcome {
+  std::size_t scheduler_flows = 0;  // flowlet entries (flowlet/adaptive)
   std::uint64_t completed = 0;
   std::uint64_t fct_count = 0, fct_sum = 0, fct_p99 = 0, fct_max = 0;
   std::uint64_t egress = 0;
@@ -522,15 +676,16 @@ struct RpcOutcome {
   std::size_t pool_in_use = 0;
 };
 
-RpcOutcome run_rpc(bool end_flows) {
+RpcOutcome run_rpc(const std::string& policy, bool flow_repl,
+                   bool end_flows) {
   constexpr std::uint64_t kFlows = 300;
   sim::EventQueue eq;
   net::PacketPool pool(1024, 2048);
   DataPlaneConfig cfg;
   cfg.num_paths = 4;
   cfg.dedup_sweep_interval_ns = 0;  // drainable queue
-  cfg.flow_repl.enabled = true;
-  MdpDataPlane dp(eq, pool, cfg, make_scheduler("rss"));
+  cfg.flow_repl.enabled = flow_repl;
+  MdpDataPlane dp(eq, pool, cfg, make_scheduler(policy));
   workload::RpcWorkloadConfig rc;
   rc.seed = 11;
   rc.mean_interarrival_ns = 40'000;
@@ -557,27 +712,53 @@ RpcOutcome run_rpc(bool end_flows) {
   o.dedup_pending = dp.dedup().pending();
   o.registered_flows = dp.dedup().registered_flows();
   o.pool_in_use = pool.in_use();
+  if (const auto* f = dynamic_cast<const FlowletScheduler*>(&dp.scheduler()))
+    o.scheduler_flows = f->tracked_flows();
+  if (const auto* a =
+          dynamic_cast<const AdaptiveMdpScheduler*>(&dp.scheduler()))
+    o.scheduler_flows = a->tracked_flows();
   EXPECT_EQ(o.completed, kFlows);
   return o;
 }
 
+// Retiring state at quiesce changes no delivery and no timing.
+void expect_same_results(const RpcOutcome& retired, const RpcOutcome& kept,
+                         const std::string& label) {
+  EXPECT_EQ(retired.completed, kept.completed) << label;
+  EXPECT_EQ(retired.fct_count, kept.fct_count) << label;
+  EXPECT_EQ(retired.fct_sum, kept.fct_sum) << label;
+  EXPECT_EQ(retired.fct_p99, kept.fct_p99) << label;
+  EXPECT_EQ(retired.fct_max, kept.fct_max) << label;
+  EXPECT_EQ(retired.egress, kept.egress) << label;
+  EXPECT_EQ(retired.extra_copy_bytes, kept.extra_copy_bytes) << label;
+}
+
 TEST(DataPlane, EndFlowRetiresSequenceStateWithoutChangingResults) {
-  const RpcOutcome kept = run_rpc(false);
-  const RpcOutcome retired = run_rpc(true);
+  const RpcOutcome kept = run_rpc("rss", true, false);
+  const RpcOutcome retired = run_rpc("rss", true, true);
   // Without end_flow the plane keeps one sequence counter per flow seen.
   EXPECT_EQ(kept.tracked_flows, 300u);
   EXPECT_EQ(retired.tracked_flows, 0u);
   EXPECT_EQ(retired.dedup_pending, 0u);
   EXPECT_EQ(retired.registered_flows, 0u);
   EXPECT_EQ(retired.pool_in_use, 0u);
-  // Retiring state at quiesce changes no delivery and no timing.
-  EXPECT_EQ(retired.completed, kept.completed);
-  EXPECT_EQ(retired.fct_count, kept.fct_count);
-  EXPECT_EQ(retired.fct_sum, kept.fct_sum);
-  EXPECT_EQ(retired.fct_p99, kept.fct_p99);
-  EXPECT_EQ(retired.fct_max, kept.fct_max);
-  EXPECT_EQ(retired.egress, kept.egress);
-  EXPECT_EQ(retired.extra_copy_bytes, kept.extra_copy_bytes);
+  expect_same_results(retired, kept, "rss");
+}
+
+TEST(DataPlane, EndFlowRetiresFlowletEntriesWithoutChangingResults) {
+  for (const std::string policy : {"flowlet", "adaptive"}) {
+    const RpcOutcome kept = run_rpc(policy, false, false);
+    const RpcOutcome retired = run_rpc(policy, false, true);
+    // Without end_flow the flowlet table keeps an entry per flow seen.
+    EXPECT_GT(kept.scheduler_flows, 0u) << policy;
+    if (policy == "flowlet") {
+      EXPECT_EQ(kept.scheduler_flows, 300u);
+    }
+    EXPECT_EQ(retired.scheduler_flows, 0u) << policy;
+    EXPECT_EQ(retired.tracked_flows, 0u) << policy;
+    EXPECT_EQ(retired.pool_in_use, 0u) << policy;
+    expect_same_results(retired, kept, policy);
+  }
 }
 
 TEST(DataPlane, RejectsInvalidConfig) {

@@ -85,10 +85,54 @@ TEST(EventQueue, MoveOnlyCaptures) {
   EXPECT_EQ(got, 7);
 }
 
-// Differential property test: the slab-backed queue against a reference
-// std::priority_queue model of the (time, insertion-seq) contract. Both
-// receive the same operation stream; fired callbacks schedule children
-// (some in the past, some at equal times) through the same pure rule.
+TEST(EventQueue, LaneKeepsTimeThenInsertionOrder) {
+  EventQueue eq;
+  const EventQueue::Lane lane = eq.add_lane();
+  std::vector<int> order;
+  auto push = [&order](int v) { return [&order, v] { order.push_back(v); }; };
+  eq.schedule_lane_at(lane, 100, push(1));
+  eq.schedule_at(100, push(2));             // equal time, heap: after 1
+  eq.schedule_lane_at(lane, 200, push(5));
+  eq.schedule_lane_at(lane, 150, push(4));  // steps back: second run
+  eq.schedule_lane_at(lane, 120, push(3));  // back again: heap fallback
+  eq.schedule_lane_at(lane, 200, push(6));  // equal to run one's tail
+  EXPECT_EQ(eq.lane_size(lane), 4u);
+  EXPECT_EQ(eq.size(), 6u);
+  eq.run_until(150);  // a run-head boundary: fires the event at 150
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(eq.size(), 2u);
+  EXPECT_EQ(eq.now(), 150u);
+  eq.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(eq.empty());
+  EXPECT_EQ(eq.events_processed(), 6u);
+}
+
+TEST(EventQueue, ClearEmptiesLanesButKeepsThemOpen) {
+  EventQueue eq;
+  const EventQueue::Lane lane = eq.add_lane();
+  bool fired = false;
+  auto owned = std::make_unique<int>(1);
+  eq.schedule_lane_in(lane, 5, [&fired, o = std::move(owned)] {
+    fired = true;
+  });
+  eq.clear();
+  EXPECT_TRUE(eq.empty());
+  EXPECT_EQ(eq.lane_size(lane), 0u);
+  eq.run();
+  EXPECT_FALSE(fired);
+  eq.schedule_lane_in(lane, 5, [&fired] { fired = true; });
+  EXPECT_EQ(eq.lane_size(lane), 1u);
+  eq.run();
+  EXPECT_TRUE(fired);
+}
+
+// Differential property test: the slab-backed queue, with its heap and
+// FIFO timer lanes, against a reference std::priority_queue model of the
+// (time, insertion-seq) contract. Both receive the same operation
+// stream; fired callbacks schedule children (some in the past, some at
+// equal times) through the same pure rule. The reference has no lanes:
+// which store an event waits in must never show in the order.
 class RefQueue {
  public:
   void schedule_at(TimeNs at, std::uint64_t id) {
@@ -98,6 +142,13 @@ class RefQueue {
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
   TimeNs now() const { return now_; }
+  bool next_at_most(TimeNs t) const {
+    return !heap_.empty() && heap_.top().at <= t;
+  }
+  void advance_to(TimeNs t) {
+    if (now_ < t) now_ = t;
+  }
+  void clear() { heap_ = {}; }
   std::uint64_t pop() {
     Ev e = heap_.top();
     heap_.pop();
@@ -139,35 +190,52 @@ TimeNs offset_time(TimeNs now, std::int64_t off) {
              : static_cast<TimeNs>(static_cast<std::int64_t>(now) + off);
 }
 
+// Where a child event is scheduled: -1 = heap, 0 / 1 = that lane.
+int child_store(std::uint64_t id) { return static_cast<int>(id / 5 % 3) - 1; }
+
 struct QueueUnderTest {
   EventQueue eq;
+  std::array<EventQueue::Lane, 2> lanes{eq.add_lane(), eq.add_lane()};
   std::uint64_t next_id = 0;
+  std::uint64_t lane_hits = 0;       // lane schedules a run took
+  std::uint64_t lane_fallbacks = 0;  // lane schedules the heap took
   std::vector<std::pair<std::uint64_t, TimeNs>> fired;
 
-  void schedule(TimeNs at) { schedule_id(at, next_id++); }
-  void schedule_id(TimeNs at, std::uint64_t id) {
+  void schedule(TimeNs at, int store) { schedule_id(at, next_id++, store); }
+  void schedule_id(TimeNs at, std::uint64_t id, int store) {
     auto on_fire = [this, id] {
       fired.emplace_back(id, eq.now());
-      for (std::int64_t off : child_offsets(id))
-        schedule_id(offset_time(eq.now(), off), next_id++);
+      for (std::int64_t off : child_offsets(id)) {
+        const std::uint64_t child = next_id++;
+        schedule_id(offset_time(eq.now(), off), child, child_store(child));
+      }
     };
+    EventQueue::Callback cb;
     if (id % 5 == 0) {
       // A capture too large for the inline buffer (heap fallback).
       std::array<std::uint64_t, 8> pad{};
       pad[7] = id;
-      eq.schedule_at(at, [on_fire, pad]() mutable {
+      cb = [on_fire, pad]() mutable {
         ASSERT_EQ(pad[7] % 5, 0u);
         on_fire();
-      });
+      };
     } else if (id % 5 == 1) {
       auto owned = std::make_unique<std::uint64_t>(id);
-      eq.schedule_at(at, [on_fire, o = std::move(owned)]() mutable {
+      cb = [on_fire, o = std::move(owned)]() mutable {
         ASSERT_EQ(*o % 5, 1u);
         on_fire();
-      });
+      };
     } else {
-      eq.schedule_at(at, on_fire);
+      cb = on_fire;
     }
+    if (store < 0) {
+      eq.schedule_at(at, std::move(cb));
+      return;
+    }
+    const EventQueue::Lane lane = lanes[static_cast<std::size_t>(store)];
+    const std::size_t before = eq.lane_size(lane);
+    eq.schedule_lane_at(lane, at, std::move(cb));
+    ++(eq.lane_size(lane) > before ? lane_hits : lane_fallbacks);
   }
 };
 
@@ -185,21 +253,47 @@ TEST(EventQueue, MatchesReferenceModelOnRandomSchedules) {
         ref.schedule_at(offset_time(ref.now(), off), ref_next_id++);
     };
 
+    TimeNs last_lane_at = 0;
     for (int op = 0; op < 100'000; ++op) {
-      // Times cluster near now(), so equal times are common and some
-      // land in the past.
       const TimeNs now = real.eq.now();
-      const auto off = static_cast<std::int64_t>(rng.uniform_u64(64)) - 16;
-      const TimeNs at = offset_time(now, off);
-      real.schedule(at);
-      ref.schedule_at(at, ref_next_id++);
-      const std::uint64_t steps = rng.uniform_u64(3);
-      for (std::uint64_t s = 0; s < steps && !ref.empty(); ++s) {
-        ASSERT_TRUE(real.eq.step());
-        ref_step();
-        ASSERT_EQ(real.eq.now(), ref.now()) << "seed " << seed;
+      TimeNs at;
+      int store = -1;
+      if (rng.uniform_u64(10) < 4) {
+        // Heap: times cluster near now(), so equal times are common
+        // (with lane deadlines too) and some land in the past.
+        const auto off = static_cast<std::int64_t>(rng.uniform_u64(64)) - 16;
+        at = offset_time(now, off);
+      } else {
+        // A fixed-delay timer on one of two lanes; one in eight steps
+        // back with a shorter delay (second run or heap fallback).
+        store = static_cast<int>(rng.uniform_u64(2));
+        TimeNs delay = store == 0 ? 24 : 40;
+        if (rng.uniform_u64(8) == 0) delay -= rng.uniform_u64(delay + 1);
+        at = now + delay;
+        last_lane_at = at;
       }
-      ASSERT_EQ(real.eq.size(), ref.size()) << "seed " << seed;
+      real.schedule(at, store);
+      ref.schedule_at(at, ref_next_id++);
+
+      if (op % 997 == 0) {
+        // run_until exactly at a lane deadline, or just before it.
+        const TimeNs until = last_lane_at - (last_lane_at > 0 ? op % 2 : 0);
+        real.eq.run_until(until);
+        while (ref.next_at_most(until)) ref_step();
+        ref.advance_to(until);
+      } else if (op == 50'000) {
+        real.eq.clear();
+        ref.clear();
+      } else {
+        const std::uint64_t steps = rng.uniform_u64(3);
+        for (std::uint64_t s = 0; s < steps && !ref.empty(); ++s) {
+          ASSERT_TRUE(real.eq.step());
+          ref_step();
+        }
+      }
+      ASSERT_EQ(real.eq.now(), ref.now()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(real.eq.size(), ref.size()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(real.eq.empty(), ref.empty()) << "seed " << seed;
     }
     while (!ref.empty()) {
       ASSERT_TRUE(real.eq.step());
@@ -210,6 +304,9 @@ TEST(EventQueue, MatchesReferenceModelOnRandomSchedules) {
     EXPECT_EQ(real.eq.events_processed(), ref_fired.size());
     EXPECT_EQ(real.eq.now(), ref.now());
     EXPECT_GT(ref_fired.size(), 100'000u);  // children fired too
+    // Both lane outcomes were exercised, on top of the plain heap.
+    EXPECT_GT(real.lane_hits, 10'000u) << "seed " << seed;
+    EXPECT_GT(real.lane_fallbacks, 100u) << "seed " << seed;
   }
 }
 

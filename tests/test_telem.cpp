@@ -65,7 +65,9 @@ TEST(FlightRecorder, WraparoundRetainsExactlyTheNewestInEmitOrder) {
   for (std::size_t i = 0; i < ev.size(); ++i) {
     EXPECT_EQ(ev[i].ts_ns, (12 + i) * 10) << "oldest overwritten first";
     EXPECT_EQ(ev[i].b, 12 + i);
-    if (i > 0) EXPECT_LT(ev[i - 1].seq, ev[i].seq);
+    if (i > 0) {
+      EXPECT_LT(ev[i - 1].seq, ev[i].seq);
+    }
   }
 }
 

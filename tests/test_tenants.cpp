@@ -180,7 +180,9 @@ TEST(FlowTable, ChurnPropertyMatchesReferenceModel) {
         const std::uint64_t* got = t.find(flow_n(n));
         ASSERT_EQ(got != nullptr, it != model.end())
             << "seed " << seed << " op " << op;
-        if (got != nullptr) EXPECT_EQ(*got, it->second);
+        if (got != nullptr) {
+          EXPECT_EQ(*got, it->second);
+        }
       } else {  // erase_if sweep: idle-expiry of a random value residue
         const std::uint64_t r = rng.uniform_u64(7);
         const std::size_t erased = t.erase_if(
