@@ -120,6 +120,9 @@ std::string controller_row(const std::string& arm, const std::string& policy,
   w.key("hedges").value(r.hedges);
   w.key("duplicate_send_fraction").value(r.replica_fraction);
   w.key("quarantines").value(r.ctrl_quarantines);
+  // The sim plane runs on its virtual clock: same seed, same row on any
+  // machine, so scripts/check_perf.py gates every field exactly.
+  w.key("wall_clock").value(false);
   w.end_object();
   return w.take();
 }

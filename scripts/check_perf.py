@@ -6,6 +6,7 @@ committed baseline. Dispatches on the report's "bench" id:
     ext4_tenants   vs BENCH_tenants.json   (million-flow tenancy tier)
     fig11_fct      vs BENCH_fct.json       (flow-granularity FCT bench)
     ext5_forecast  vs BENCH_forecast.json  (predictive-control A/B bench)
+    ext3           vs BENCH_controller.json (online control plane, ext3_controller)
 
 Usage:
     check_perf.py <fresh.json> [<baseline.json>] [--max-regression 2.0]
@@ -45,9 +46,14 @@ actuations (FP <= 0.05), and a majority of storm pre-actuations must be
 confirmed by a reactive breach (FP <= 0.5 — a rescue that works erases
 some of its own confirming evidence; docs/FORECAST.md).
 
+ext3 (bench/ext3_controller): its two mdp.bench_controller.v1 rows (the
+hedge-timeout story: fixed redundant:3 vs the PID deadline) run on the
+simulator's virtual clock, so they gate exactly, and a baselined arm
+missing from the fresh run fails.
+
 Logical-clock rows are an exact oracle: every row marked
-wall_clock=false in a fresh ext4_tenants, fig11_fct or ext5_forecast
-report must equal its baseline row in every field. These rows replay a
+wall_clock=false in a fresh ext4_tenants, fig11_fct, ext5_forecast or
+ext3 report must equal its baseline row in every field. These rows replay a
 seeded rig bit-identically on any machine, so any drift is a behavior
 change; a change that means to move them regenerates the baseline.
 
@@ -57,6 +63,14 @@ Regenerate baselines from a Release build:
     ./build/bench/ext4_tenants  --json BENCH_tenants.json
     ./build/bench/fig11_fct     --json BENCH_fct.json
     ./build/bench/ext5_forecast --json BENCH_forecast.json
+
+BENCH_controller.json keeps only the controller rows of an ext3 report
+(the full report carries every run's trace, ~400 KB):
+
+    ./build/bench/ext3_controller --json ext3.json
+    python3 -c "import json; d = json.load(open('ext3.json')); \
+      d['runs'] = [r for r in d['runs'] if r['label'].startswith( \
+      'controller-row:')]; json.dump(d, open('BENCH_controller.json', 'w'))"
 
 --self-test exercises the gate's own failure branches (regression FAIL,
 missing baseline row, new ungated row, SLO-breach FAIL, bench mismatch,
@@ -69,11 +83,12 @@ import json
 import sys
 
 SUPPORTED = ("ext2_fastpath", "ext4_tenants", "fig11_fct",
-             "ext5_forecast")
+             "ext5_forecast", "ext3")
 DEFAULT_BASELINE = {"ext2_fastpath": "BENCH_fastpath.json",
                     "ext4_tenants": "BENCH_tenants.json",
                     "fig11_fct": "BENCH_fct.json",
-                    "ext5_forecast": "BENCH_forecast.json"}
+                    "ext5_forecast": "BENCH_forecast.json",
+                    "ext3": "BENCH_controller.json"}
 
 # ext2_fastpath hard limit: the in-memory loopback wire must stay
 # burst-native — within this factor of the synthetic packet source at
@@ -175,16 +190,37 @@ def forecast_rows(doc, path):
     return rows
 
 
-def gate_ratios(fresh, base, value_of, key_label, max_regression):
-    """The shared rule: every baselined row must be present and within
-    max_regression of its baseline. Returns True when anything failed."""
-    failed = False
+def controller_rows(doc, path):
+    """{arm: full row dict} from an ext3 (ext3_controller) report."""
+    rows = {}
+    for run in doc.get("runs", []):
+        rep = run.get("report", {})
+        if rep.get("schema") != "mdp.bench_controller.v1":
+            continue
+        if "arm" not in rep:
+            sys.exit(f"{path}: mdp.bench_controller.v1 row missing arm: "
+                     f"{sorted(rep)}")
+        rows[rep["arm"]] = rep
+    if not rows:
+        sys.exit(f"{path}: no mdp.bench_controller.v1 rows")
+    return rows
+
+
+def gate_missing(fresh, base, key_label):
+    """Every baselined row must be present in the fresh run. Returns True
+    when one is missing."""
     missing = sorted(set(base) - set(fresh))
     if missing:
         keys = ", ".join(key_label(k) for k in missing)
         print(f"FAIL: baseline rows missing from fresh run: {keys} "
               f"(did the sweep change? regenerate the baseline)")
-        failed = True
+    return bool(missing)
+
+
+def gate_ratios(fresh, base, value_of, key_label, max_regression):
+    """The shared rule: every baselined row must be present and within
+    max_regression of its baseline. Returns True when anything failed."""
+    failed = gate_missing(fresh, base, key_label)
     for key in sorted(set(fresh) - set(base)):
         print(f"note: {key_label(key)} is new in the fresh run "
               f"(no baseline row; not gated)")
@@ -413,6 +449,14 @@ def check_forecast(fresh, base, max_regression):
     return failed
 
 
+def check_controller(fresh, base):
+    """ext3's controller rows replay the seeded sim plane bit-identically:
+    every baselined arm must be present and match field for field."""
+    failed = gate_missing(fresh, base, lambda k: k)
+    failed |= gate_exact(fresh, base, lambda k: k)
+    return failed
+
+
 def self_test():
     """Drive the gate against synthetic reports covering every verdict
     branch. Returns 0 when all checks pass, 1 otherwise."""
@@ -446,6 +490,14 @@ def self_test():
                 "runs": [{"report": {"schema": "mdp.bench_forecast.v1",
                                      "wall_clock": False, **row}}
                          for row in rows.values()]}
+
+    def ctl_report(rows):
+        return {"bench": "ext3",
+                "runs": [{"label": f"controller-row:{arm}",
+                          "report": {"schema": "mdp.bench_controller.v1",
+                                     "arm": arm, "wall_clock": False,
+                                     **row}}
+                         for arm, row in rows.items()]}
 
     def run_gate(argv):
         """Run main() in-process; return (exit_code, captured_output)."""
@@ -741,7 +793,37 @@ def self_test():
         check("forecast calm actuation fails",
               code == 1 and "must never trip the forecast" in out, out)
 
-    total = 30
+        # --- ext3 (controller rows) --------------------------------------
+        ctl_base = {"red3-fixed": {"p999_ns": 3899391, "hedges": 0},
+                    "red1-pid-timeout": {"p999_ns": 1831, "hedges": 60}}
+        cbase = write("cbase.json", ctl_report(ctl_base))
+
+        # Clean pass: both rows compared field for field.
+        code, out = run_gate([write("csame.json", ctl_report(ctl_base)),
+                              cbase])
+        check("controller rows pass",
+              code == 0 and "logical rows exact: 2 rows, 10 fields "
+              "compared [ok]" in out, out)
+
+        # Logical drift: one more hedge fired is a behavior change.
+        cdrift = {k: dict(v) for k, v in ctl_base.items()}
+        cdrift["red1-pid-timeout"]["hedges"] = 61
+        code, out = run_gate([write("cdrift.json", ctl_report(cdrift)),
+                              cbase])
+        check("controller logical drift fails",
+              code == 1 and "red1-pid-timeout drifted from the baseline: "
+              "hedges 60 -> 61" in out, out)
+
+        # Missing arm: a fresh run that drops an arm must fail, not pass
+        # by omission (gate_exact alone compares only shared rows).
+        conly = {"red3-fixed": ctl_base["red3-fixed"]}
+        code, out = run_gate([write("conly.json", ctl_report(conly)),
+                              cbase])
+        check("controller missing row fails",
+              code == 1 and "baseline rows missing from fresh run: "
+              "red1-pid-timeout" in out, out)
+
+    total = 33
     passed = total - len(failures)
     print(f"self-test: {passed}/{total} checks passed")
     return 1 if failures else 0
@@ -779,6 +861,9 @@ def main(argv=None):
         failed = check_fct(fct_rows(fresh_doc, args.fresh),
                            fct_rows(base_doc, baseline_path),
                            args.max_regression)
+    elif bench == "ext3":
+        failed = check_controller(controller_rows(fresh_doc, args.fresh),
+                                  controller_rows(base_doc, baseline_path))
     elif bench == "ext5_forecast":
         failed = check_forecast(forecast_rows(fresh_doc, args.fresh),
                                 forecast_rows(base_doc, baseline_path),

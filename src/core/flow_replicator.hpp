@@ -93,9 +93,9 @@ class FlowReplicator {
       remember(k, a.tenant_id, st);
       return false;
     }
-    PathVec cand;
-    k_least_backlog_paths(ctx, cfg_.replicas, cand);
-    if (cand.size() < 2) {
+    cand_.clear();
+    k_least_backlog_paths(ctx, cfg_.replicas, cand_);
+    if (cand_.size() < 2) {
       ++path_starved_;
       remember(k, a.tenant_id, st);
       return false;
@@ -107,8 +107,8 @@ class FlowReplicator {
     }
     st.replicated = true;
     st.n = static_cast<std::uint8_t>(
-        cand.size() < cfg_.replicas ? cand.size() : cfg_.replicas);
-    for (std::uint8_t i = 0; i < st.n; ++i) st.paths[i] = cand[i];
+        cand_.size() < cfg_.replicas ? cand_.size() : cfg_.replicas);
+    for (std::uint8_t i = 0; i < st.n; ++i) st.paths[i] = cand_[i];
     remember(k, a.tenant_id, st);
     ++flows_replicated_;
     fill_up_paths(st, ctx, out);
@@ -185,6 +185,8 @@ class FlowReplicator {
 
   FlowReplicatorConfig cfg_;
   nf::FlowTable<State> table_;
+  /// Candidate buffer for new flows, reused so route() never allocates.
+  PathVec cand_;
   TokenFn token_fn_;
   DropFn on_drop_;
   std::uint64_t flows_seen_ = 0;

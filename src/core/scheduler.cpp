@@ -28,21 +28,24 @@ std::uint16_t least_backlog_path(const PathContext& ctx) {
 
 void k_least_backlog_paths(const PathContext& ctx, std::size_t k,
                            PathVec& out) {
-  struct Cand {
-    sim::TimeNs backlog;
-    std::uint16_t path;
-  };
-  std::vector<Cand> cands;
-  cands.reserve(ctx.num_paths());
-  for (std::size_t p = 0; p < ctx.num_paths(); ++p)
-    if (ctx.up(p))
-      cands.push_back({ctx.backlog_ns(p), static_cast<std::uint16_t>(p)});
-  std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-    return a.backlog != b.backlog ? a.backlog < b.backlog
-                                  : a.path < b.path;
-  });
-  for (std::size_t i = 0; i < cands.size() && i < k; ++i)
-    out.push_back(cands[i].path);
+  // Insertion into the caller's buffer keeps the best k in (backlog, id)
+  // order without a scratch vector: paths arrive in id order, so a tie
+  // lands behind the lower id already placed.
+  if (k == 0) return;
+  const std::size_t base = out.size();
+  for (std::size_t p = 0; p < ctx.num_paths(); ++p) {
+    if (!ctx.up(p)) continue;
+    const sim::TimeNs b = ctx.backlog_ns(p);
+    if (out.size() - base == k) {
+      if (b >= ctx.backlog_ns(out.back())) continue;
+      out.pop_back();
+    }
+    auto at = out.end();
+    while (at != out.begin() + static_cast<std::ptrdiff_t>(base) &&
+           ctx.backlog_ns(*(at - 1)) > b)
+      --at;
+    out.insert(at, static_cast<std::uint16_t>(p));
+  }
 }
 
 // --- BatchPathContext -----------------------------------------------------------

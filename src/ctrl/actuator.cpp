@@ -2,19 +2,6 @@
 
 namespace mdp::ctrl {
 
-// --- ThreadedPlaneActuator ------------------------------------------------------
-
-void ThreadedPlaneActuator::set_admission(std::size_t path, Admission a) {
-  core::PathAdmission pa = core::PathAdmission::kEnabled;
-  if (a == Admission::kProbeOnly) pa = core::PathAdmission::kProbeOnly;
-  if (a == Admission::kDisabled) pa = core::PathAdmission::kDisabled;
-  dp_.set_path_admission(path, pa);
-}
-
-void ThreadedPlaneActuator::grant_probes(std::size_t path, std::uint64_t n) {
-  dp_.grant_probe_credits(path, n);
-}
-
 // --- SimPlaneActuator -----------------------------------------------------------
 
 void SimPlaneActuator::set_admission(std::size_t path, Admission a) {
@@ -40,8 +27,7 @@ void SimPlaneActuator::grant_probes(std::size_t path, std::uint64_t n) {
   }
 }
 
-void SimPlaneActuator::flush_path(std::size_t path) {
-  (void)path;
+void SimPlaneActuator::flush_path(std::size_t) {
   // Release everything the merge stage is holding for resequencing; the
   // quarantined path's gaps will not fill while it is masked, and the
   // flushed packets advance every flow window past them.

@@ -32,12 +32,9 @@ namespace mdp::ctrl {
 
 enum class TenantState : std::uint8_t;  // ctrl/tenant.hpp
 
-/// Per-path admission level the controller can set.
-enum class Admission : std::uint8_t {
-  kEnabled = 0,   ///< normal candidate for the dispatch policy
-  kProbeOnly,     ///< only controller-granted probe packets admitted
-  kDisabled,      ///< masked out entirely
-};
+/// Per-path admission level the controller can set: the threaded plane's
+/// own enum, so it passes through unchanged.
+using Admission = core::PathAdmission;
 
 class Actuator {
  public:
@@ -90,8 +87,12 @@ class ThreadedPlaneActuator : public Actuator {
   explicit ThreadedPlaneActuator(core::ThreadedDataPlane& dp) : dp_(dp) {}
 
   std::size_t num_paths() const override { return dp_.num_paths(); }
-  void set_admission(std::size_t path, Admission a) override;
-  void grant_probes(std::size_t path, std::uint64_t n) override;
+  void set_admission(std::size_t path, Admission a) override {
+    dp_.set_path_admission(path, a);
+  }
+  void grant_probes(std::size_t path, std::uint64_t n) override {
+    dp_.grant_probe_credits(path, n);
+  }
   std::uint64_t path_backlog(std::size_t path) const override {
     return dp_.path_inflight(path);
   }

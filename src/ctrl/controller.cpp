@@ -21,6 +21,75 @@ std::uint32_t decision_reason_code(const char* reason) noexcept {
   return 0;
 }
 
+/// One path's evidence for the current tick, threaded through its stages.
+struct Controller::PathTick {
+  std::size_t p = 0;
+  PathState before = PathState::kActive;  ///< FSM state at tick start
+  WindowStats w;
+  std::uint64_t backlog = 0;
+  forecast::Forecast fc;  ///< never actionable while forecasting is off
+  /// Stage verdict of this window ("" without span evidence).
+  const char* dominant_stage = "";
+  std::uint64_t dominant_ns = 0;
+  TickInput in;  ///< the judge's verdict, fed to the FSM
+  /// A decision on this path (from = to = `before`) carrying the
+  /// window evidence.
+  Decision decision(const char* reason) const {
+    Decision d;
+    d.path = static_cast<std::uint16_t>(p);
+    d.from = before;
+    d.to = before;
+    d.reason = reason;
+    d.p99_ns = w.p99_ns;
+    d.samples = w.samples;
+    d.violations = w.violations;
+    d.backlog = backlog;
+    return d;
+  }
+};
+
+/// The worst serving path's evidence, summed over the per-path stages
+/// and read by the plane-wide ones.
+struct Controller::ServingTail {
+  std::uint64_t p99_ns = 0;
+  std::uint64_t p50_ns = 0;
+  std::uint64_t samples = 0;
+  const char* dominant_stage = "";
+  std::uint64_t dominant_ns = 0;
+  /// Worst actionable forecast (not actionable: there is none).
+  forecast::Forecast fc_worst;
+  std::uint16_t fc_worst_path = 0;
+  void add(const PathTick& t) {
+    if (t.w.p99_ns > p99_ns) {
+      p99_ns = t.w.p99_ns;
+      p50_ns = t.w.p50_ns;
+      dominant_stage = t.dominant_stage;
+      dominant_ns = t.dominant_ns;
+    }
+    samples += t.w.samples;
+    if (t.fc.actionable &&
+        (!fc_worst.actionable || t.fc.p999_ns > fc_worst.p999_ns)) {
+      fc_worst = t.fc;
+      fc_worst_path = static_cast<std::uint16_t>(t.p);
+    }
+  }
+  /// A decision on `target` carrying the tail's p99 and sample count,
+  /// plus the worst path's stage verdict when `attributed`.
+  Decision decision(std::uint16_t target, const char* reason,
+                    bool attributed) const {
+    Decision d;
+    d.path = target;
+    d.reason = reason;
+    d.p99_ns = p99_ns;
+    d.samples = samples;
+    if (attributed) {
+      d.dominant_stage = dominant_stage;
+      d.dominant_stage_ns = dominant_ns;
+    }
+    return d;
+  }
+};
+
 Controller::Controller(Config cfg, Actuator& actuator, SloMonitor& monitor)
     : cfg_(cfg),
       act_(actuator),
@@ -29,8 +98,7 @@ Controller::Controller(Config cfg, Actuator& actuator, SloMonitor& monitor)
       hedge_timeout_(cfg.hedge_timeout),
       gran_(cfg.granularity) {
   mon_.set_slo_target_ns(cfg_.slo_target_ns);
-  paths_.resize(act_.num_paths());
-  for (auto& p : paths_) p.fsm = PathStateMachine(cfg_.path);
+  paths_.assign(act_.num_paths(), PathCtl{PathStateMachine(cfg_.path)});
   if (cfg_.decision_log_capacity == 0) cfg_.decision_log_capacity = 1;
   if (cfg_.forecast.enabled) {
     ForecastConfig& fc = cfg_.forecast;
@@ -58,18 +126,15 @@ std::size_t Controller::active_count() const {
   return n;
 }
 
-std::size_t Controller::serving_count() const {
-  std::size_t n = 0;
-  for (const auto& p : paths_)
-    if (p.fsm.state() == PathState::kActive && !p.pre_quarantined) ++n;
-  return n;
+bool Controller::serving(std::size_t p) const {
+  return paths_[p].fsm.state() == PathState::kActive &&
+         !paths_[p].pre_quarantined;
 }
 
-void Controller::open_fp_episode(std::size_t p) {
-  PathCtl& pc = paths_[p];
-  if (pc.fp_pending) return;
-  pc.fp_pending = true;
-  pc.fp_since = tick_;
+std::size_t Controller::serving_count() const {
+  std::size_t n = 0;
+  for (std::size_t p = 0; p < paths_.size(); ++p) n += serving(p) ? 1 : 0;
+  return n;
 }
 
 void Controller::attach_recorder(telem::FlightRecorder* rec,
@@ -79,7 +144,18 @@ void Controller::attach_recorder(telem::FlightRecorder* rec,
   dump_window_ns_ = dump_window_ns;
 }
 
-void Controller::log_decision(Decision d) {
+void Controller::log_decision(Decision d, const forecast::Forecast* fc) {
+  if (fc) {
+    d.fc_p99_ns = fc->p99_ns;
+    d.fc_p999_ns = fc->p999_ns;
+    d.fc_confidence = fc->confidence;
+    d.fc_horizon_ticks = fc->horizon_ticks;
+    d.forecast_logged = true;
+  }
+  d.tick = tick_;
+  d.now_ns = now_ns_;
+  d.replicas = hedger_.replicas();
+  d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
   // Every decision records the granularity in force while the lever is
   // enabled — the log then shows which regime each action happened in.
   d.granularity = gran_.granularity();
@@ -111,527 +187,385 @@ void Controller::log_decision(Decision d) {
 
 void Controller::tick(std::uint64_t now_ns) {
   ++tick_;
+  now_ns_ = now_ns;
   if (exporter_) exporter_->begin_tick(tick_, now_ns);
-  std::uint64_t worst_serving_p99 = 0;
-  std::uint64_t worst_serving_p50 = 0;
-  std::uint64_t serving_samples = 0;
-  const char* worst_dominant_stage = "";
-  std::uint64_t worst_dominant_ns = 0;
-  // Worst actionable forecast across serving paths: drives the global
-  // pre-hedge after the loop.
-  forecast::Forecast fc_worst;
-  std::uint16_t fc_worst_path = 0;
-  bool have_fc_worst = false;
-
+  ServingTail tail;
   for (std::size_t p = 0; p < paths_.size(); ++p) {
-    PathCtl& pc = paths_[p];
-    const PathState before = pc.fsm.state();
-    const WindowStats w = mon_.harvest(p);
-    const std::uint64_t backlog = act_.path_backlog(p);
+    PathTick t = harvest(p);
+    forecast_path(t);
+    judge(t);
+    run_fsm(t);
+    if (serving(p)) tail.add(t);
+  }
+  forecast_prehedge(tail);
+  hedge(tail);
+  pid_deadline(tail);
+  granularity(tail);
+  admit_tenants();
+  if (exporter_) exporter_->end_tick();
+}
 
-    // Forecast stage, step 1: absorb the window (interpolated quantiles —
-    // the estimator differentiates the series, and the quantized upper
-    // edges would turn its trend term into staircase noise) and read the
-    // path's forecast before anything else judges the window.
-    forecast::Forecast fc;
-    bool have_fc = false;
-    if (est_) {
-      forecast::WindowSample s;
-      s.samples = w.samples;
-      s.p99_ns = w.quantile_ns(0.99);
-      s.p999_ns = w.quantile_ns(0.999);
-      s.stage_sum_ns = w.stage_sum_ns;
-      est_->observe(p, s);
-      fc = est_->forecast(p);
-      have_fc = est_->windows_seen(p) > 0;
-    }
+Controller::PathTick Controller::harvest(std::size_t p) {
+  PathTick t;
+  t.p = p;
+  t.before = paths_[p].fsm.state();
+  t.w = mon_.harvest(p);
+  t.backlog = act_.path_backlog(p);
 
-    if (exporter_) {
-      telem::PathTickStats ts;
-      ts.path = static_cast<std::uint16_t>(p);
-      ts.samples = w.samples;
-      ts.violations = w.violations;
-      ts.sum_ns = w.sum_ns;
-      ts.p50_ns = w.p50_ns;
-      ts.p99_ns = w.p99_ns;
-      ts.p999_ns = w.p999_ns;
-      ts.max_ns = w.max_ns;
-      ts.stage_sum_ns = w.stage_sum_ns;
-      if (have_fc) {
-        ts.has_forecast = true;
-        ts.fc_p99_ns = fc.p99_ns;
-        ts.fc_p999_ns = fc.p999_ns;
-        ts.fc_confidence = fc.confidence;
-        ts.fc_horizon_ticks = fc.horizon_ticks;
-        ts.fc_actionable = fc.actionable;
-        if (fc.has_stage && fc.dominant_stage_slope > 0.0)
-          ts.fc_stage = trace::stage_name(fc.dominant_stage);
-      }
-      exporter_->add_path(ts);
-    }
+  // Absorb the window (interpolated quantiles — the estimator
+  // differentiates the series, and the quantized upper edges would turn
+  // its trend term into staircase noise) and read the path's forecast
+  // before anything else judges the window.
+  if (est_) {
+    forecast::WindowSample s;
+    s.samples = t.w.samples;
+    s.p99_ns = t.w.quantile_ns(0.99);
+    s.p999_ns = t.w.quantile_ns(0.999);
+    s.stage_sum_ns = t.w.stage_sum_ns;
+    est_->observe(p, s);
+    t.fc = est_->forecast(p);
+  }
 
-    // Stage verdict: WHERE this window's latency went, when the feeder
-    // supplied spans (observe_span) rather than bare scalars.
-    const char* dominant_stage = "";
-    std::uint64_t dominant_ns = 0;
-    if (w.has_stage_evidence()) {
-      dominant_stage = trace::stage_name(w.dominant_stage());
-      dominant_ns = w.dominant_stage_ns();
+  if (exporter_) {
+    telem::PathTickStats ts;
+    ts.path = static_cast<std::uint16_t>(p);
+    ts.samples = t.w.samples;
+    ts.violations = t.w.violations;
+    ts.sum_ns = t.w.sum_ns;
+    ts.p50_ns = t.w.p50_ns;
+    ts.p99_ns = t.w.p99_ns;
+    ts.p999_ns = t.w.p999_ns;
+    ts.max_ns = t.w.max_ns;
+    ts.stage_sum_ns = t.w.stage_sum_ns;
+    if (est_ && est_->windows_seen(p) > 0) {
+      ts.has_forecast = true;
+      ts.fc_p99_ns = t.fc.p99_ns;
+      ts.fc_p999_ns = t.fc.p999_ns;
+      ts.fc_confidence = t.fc.confidence;
+      ts.fc_horizon_ticks = t.fc.horizon_ticks;
+      ts.fc_actionable = t.fc.actionable;
+      if (t.fc.has_stage && t.fc.dominant_stage_slope > 0.0)
+        ts.fc_stage = trace::stage_name(t.fc.dominant_stage);
     }
+    exporter_->add_path(ts);
+  }
 
-    // Forecast stage, step 2: the proactive per-path actions, BEFORE the
-    // reactive judge sees the window. A forecast may soften admission
-    // (kProbeOnly) and schedule probes; it may never hard-quarantine —
-    // that stays the reactive FSM's exclusive call, fed by the probe
-    // evidence this very actuation keeps flowing.
-    if (est_ && before == PathState::kActive) {
-      const double slo = static_cast<double>(cfg_.slo_target_ns);
-      const double fc999 = static_cast<double>(fc.p999_ns);
-      if (pc.pre_quarantined) {
-        const bool calmed =
-            have_fc && fc999 < cfg_.forecast.restore_threshold * slo;
-        const bool expired =
-            tick_ - pc.pre_quarantined_since >= cfg_.forecast.max_hold_ticks;
-        if (calmed || expired) {
-          // Probe-first means release-first too: without reactive
-          // confirmation inside the hold window the path goes back to
-          // full admission (and the episode resolves as a false positive
-          // unless a breach landed meanwhile).
-          act_.set_admission(p, Admission::kEnabled);
-          pc.pre_quarantined = false;
-          ++forecast_restores_;
-          Decision d;
-          d.tick = tick_;
-          d.now_ns = now_ns;
-          d.path = static_cast<std::uint16_t>(p);
-          d.from = before;
-          d.to = before;
-          d.reason = "forecast_restore";
-          d.p99_ns = w.p99_ns;
-          d.samples = w.samples;
-          d.violations = w.violations;
-          d.backlog = backlog;
-          d.replicas = hedger_.replicas();
-          d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
-          d.fc_p99_ns = fc.p99_ns;
-          d.fc_p999_ns = fc.p999_ns;
-          d.fc_confidence = fc.confidence;
-          d.fc_horizon_ticks = fc.horizon_ticks;
-          d.forecast_logged = true;
-          log_decision(d);
-        } else {
-          act_.grant_probes(p, cfg_.forecast.probe_grant);
-        }
-      } else if (fc.actionable) {
-        if (fc999 >= cfg_.forecast.prequarantine_threshold * slo &&
-            serving_count() > cfg_.min_serving_paths) {
-          act_.set_admission(p, Admission::kProbeOnly);
-          act_.grant_probes(p, cfg_.forecast.probe_grant);
-          pc.pre_quarantined = true;
-          pc.pre_quarantined_since = tick_;
-          ++forecast_prequarantines_;
-          open_fp_episode(p);
-          Decision d;
-          d.tick = tick_;
-          d.now_ns = now_ns;
-          d.path = static_cast<std::uint16_t>(p);
-          d.from = before;
-          d.to = before;
-          d.reason = "forecast_prequarantine";
-          d.p99_ns = w.p99_ns;
-          d.samples = w.samples;
-          d.violations = w.violations;
-          d.backlog = backlog;
-          d.replicas = hedger_.replicas();
-          d.dominant_stage = dominant_stage;
-          d.dominant_stage_ns = dominant_ns;
-          d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
-          d.fc_p99_ns = fc.p99_ns;
-          d.fc_p999_ns = fc.p999_ns;
-          d.fc_confidence = fc.confidence;
-          d.fc_horizon_ticks = fc.horizon_ticks;
-          d.forecast_logged = true;
-          log_decision(d);
-        } else if (fc999 >= cfg_.forecast.prehedge_threshold * slo &&
-                   fc.has_stage && fc.dominant_stage_slope > 0.0 &&
-                   (pc.last_forecast_probe_tick == 0 ||
-                    tick_ - pc.last_forecast_probe_tick >=
-                        cfg_.forecast.probe_cooldown_ticks)) {
-          // Stage-aware early evidence: the path whose TRENDING stage is
-          // worsening gets probe credits now, so by the time the tail
-          // arrives the reactive judge has samples to rule on.
-          act_.grant_probes(p, cfg_.forecast.probe_grant);
-          pc.last_forecast_probe_tick = tick_;
-          ++forecast_probes_;
-          open_fp_episode(p);
-          Decision d;
-          d.tick = tick_;
-          d.now_ns = now_ns;
-          d.path = static_cast<std::uint16_t>(p);
-          d.from = before;
-          d.to = before;
-          d.reason = "forecast_probe";
-          d.p99_ns = w.p99_ns;
-          d.samples = w.samples;
-          d.violations = w.violations;
-          d.backlog = backlog;
-          d.replicas = hedger_.replicas();
-          d.dominant_stage = trace::stage_name(fc.dominant_stage);
-          d.dominant_stage_ns =
-              static_cast<std::uint64_t>(fc.dominant_stage_slope);
-          d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
-          d.fc_p99_ns = fc.p99_ns;
-          d.fc_p999_ns = fc.p999_ns;
-          d.fc_confidence = fc.confidence;
-          d.fc_horizon_ticks = fc.horizon_ticks;
-          d.forecast_logged = true;
-          log_decision(d);
-        }
-      }
-    }
+  // Stage verdict: WHERE this window's latency went, when the feeder
+  // supplied spans (observe_span) rather than bare scalars.
+  if (t.w.has_stage_evidence()) {
+    t.dominant_stage = trace::stage_name(t.w.dominant_stage());
+    t.dominant_ns = t.w.dominant_stage_ns();
+  }
+  return t;
+}
 
-    TickInput in;
-    in.has_signal = w.samples >= cfg_.min_samples;
-    const bool slo_breach =
-        in.has_signal && w.violation_fraction() > cfg_.violation_threshold;
-    const bool backlog_breach =
-        cfg_.backlog_limit > 0 && backlog > cfg_.backlog_limit;
-    in.breach = slo_breach || backlog_breach;
-    if (slo_breach) ++breach_windows_;
-    // Forecast stage, step 3: resolve confirmation episodes against the
-    // reactive judge's verdict — a breach inside the window confirms the
-    // earlier actuation, expiry books it as a false positive.
-    if (est_ && pc.fp_pending) {
-      if (slo_breach) {
-        ++forecast_confirmed_;
-        pc.fp_pending = false;
-      } else if (tick_ - pc.fp_since > cfg_.forecast.confirm_window_ticks) {
-        ++forecast_false_positives_;
-        pc.fp_pending = false;
-      }
+void Controller::forecast_path(const PathTick& t) {
+  // The proactive per-path actions, BEFORE the reactive judge sees the
+  // window. A forecast may soften admission (kProbeOnly) and schedule
+  // probes; it may never hard-quarantine — that stays the reactive FSM's
+  // exclusive call, fed by the probe evidence this very actuation keeps
+  // flowing.
+  if (!est_ || t.before != PathState::kActive) return;
+  const ForecastConfig& fc_cfg = cfg_.forecast;
+  PathCtl& pc = paths_[t.p];
+  const double slo = static_cast<double>(cfg_.slo_target_ns);
+  const double fc999 = static_cast<double>(t.fc.p999_ns);
+  Decision d;
+  if (pc.pre_quarantined) {
+    const bool calmed = est_->windows_seen(t.p) > 0 &&
+                        fc999 < fc_cfg.restore_threshold * slo;
+    const bool expired =
+        tick_ - pc.pre_quarantined_since >= fc_cfg.max_hold_ticks;
+    if (!calmed && !expired) {
+      act_.grant_probes(t.p, fc_cfg.probe_grant);
+      return;
     }
-    if (in.breach) {
-      // Backlog evidence needs no sample minimum — a silent blackhole's
-      // whole signature is completions that never arrive. When both
-      // causes fired in the same window the label says so; a backlog-only
-      // quarantine is never mislabeled "slo_breach".
-      in.has_signal = true;
-      pc.last_breach_reason = slo_breach && backlog_breach
-                                  ? "slo+backlog_breach"
-                                  : slo_breach ? "slo_breach"
-                                               : "backlog_breach";
-      pc.last_dominant_stage = dominant_stage;
-      pc.last_dominant_ns = dominant_ns;
-    } else if (in.has_signal) {
-      // First clean window ends the breach episode: refresh the deferral
-      // budget for the next one.
-      pc.service_defers_used = 0;
-    }
+    // Probe-first means release-first too: without reactive confirmation
+    // inside the hold window the path goes back to full admission (and
+    // the episode resolves as a false positive unless a breach landed
+    // meanwhile).
+    act_.set_admission(t.p, Admission::kEnabled);
+    pc.pre_quarantined = false;
+    ++forecast_restores_;
+    d = t.decision("forecast_restore");
+  } else if (!t.fc.actionable) {
+    return;
+  } else if (fc999 >= fc_cfg.prequarantine_threshold * slo &&
+             serving_count() > cfg_.min_serving_paths) {
+    act_.set_admission(t.p, Admission::kProbeOnly);
+    act_.grant_probes(t.p, fc_cfg.probe_grant);
+    pc.pre_quarantined = true;
+    pc.pre_quarantined_since = tick_;
+    ++forecast_prequarantines_;
+    pc.open_fp_episode(tick_);
+    d = t.decision("forecast_prequarantine");
+    d.dominant_stage = t.dominant_stage;
+    d.dominant_stage_ns = t.dominant_ns;
+  } else if (fc999 >= fc_cfg.prehedge_threshold * slo && t.fc.has_stage &&
+             t.fc.dominant_stage_slope > 0.0 &&
+             (pc.last_forecast_probe_tick == 0 ||
+              tick_ - pc.last_forecast_probe_tick >=
+                  fc_cfg.probe_cooldown_ticks)) {
+    // Stage-aware early evidence: the path whose TRENDING stage is
+    // worsening gets probe credits now, so by the time the tail arrives
+    // the reactive judge has samples to rule on.
+    act_.grant_probes(t.p, fc_cfg.probe_grant);
+    pc.last_forecast_probe_tick = tick_;
+    ++forecast_probes_;
+    pc.open_fp_episode(tick_);
+    d = t.decision("forecast_probe");
+    d.dominant_stage = trace::stage_name(t.fc.dominant_stage);
+    d.dominant_stage_ns =
+        static_cast<std::uint64_t>(t.fc.dominant_stage_slope);
+  } else {
+    return;
+  }
+  log_decision(d, &t.fc);
+}
 
-    switch (before) {
-      case PathState::kActive:
-        // Stage-aware actuation: a service-dominated SLO breach means the
-        // path's core is slow, not its queue deep — masking just moves
-        // the load while the hedger can rescue the stragglers. Defer the
-        // quarantine for a bounded budget of ticks (counted) and let the
-        // hedge act; backlog evidence always counts immediately.
-        if (in.breach && slo_breach && !backlog_breach &&
-            cfg_.service_defer_ticks > 0 && w.has_stage_evidence() &&
-            w.dominant_stage() == trace::Stage::kService &&
-            pc.service_defers_used < cfg_.service_defer_ticks) {
-          in.breach = false;
-          ++pc.service_defers_used;
-          ++service_deferrals_;
-        }
-        // Capacity guard: losing this path would leave fewer than
-        // min_serving_paths serving (forecast pre-quarantined paths are
-        // already not serving). A contained tail beats a masked fleet;
-        // the breach is suppressed (and counted), not queued.
-        if (in.breach && serving_count() <= cfg_.min_serving_paths) {
-          in.breach = false;
-          ++suppressed_quarantines_;
-        }
+void Controller::judge(PathTick& t) {
+  PathCtl& pc = paths_[t.p];
+  t.in.has_signal = t.w.samples >= cfg_.min_samples;
+  const bool slo_breach =
+      t.in.has_signal && t.w.violation_fraction() > cfg_.violation_threshold;
+  const bool backlog_breach =
+      cfg_.backlog_limit > 0 && t.backlog > cfg_.backlog_limit;
+  t.in.breach = slo_breach || backlog_breach;
+  if (slo_breach) ++breach_windows_;
+  // Resolve forecast confirmation episodes against this verdict — a
+  // breach inside the window confirms the earlier actuation, expiry books
+  // it as a false positive.
+  if (est_ && pc.fp_pending) {
+    if (slo_breach) {
+      ++forecast_confirmed_;
+      pc.fp_pending = false;
+    } else if (tick_ - pc.fp_since > cfg_.forecast.confirm_window_ticks) {
+      ++forecast_false_positives_;
+      pc.fp_pending = false;
+    }
+  }
+  if (t.in.breach) {
+    // Backlog evidence needs no sample minimum — a silent blackhole's
+    // whole signature is completions that never arrive. When both causes
+    // fired in the same window the label says so; a backlog-only
+    // quarantine is never mislabeled "slo_breach".
+    t.in.has_signal = true;
+    pc.last_breach_reason = slo_breach && backlog_breach
+                                ? "slo+backlog_breach"
+                                : slo_breach ? "slo_breach"
+                                             : "backlog_breach";
+    pc.last_dominant_stage = t.dominant_stage;
+    pc.last_dominant_ns = t.dominant_ns;
+  } else if (t.in.has_signal) {
+    // First clean window ends the breach episode: refresh the deferral
+    // budget for the next one.
+    pc.service_defers_used = 0;
+  }
+  if (t.before != PathState::kActive) return;
+  // Stage-aware actuation: a service-dominated SLO breach means the
+  // path's core is slow, not its queue deep — masking just moves the load
+  // while the hedger can rescue the stragglers. Defer the quarantine for a
+  // bounded budget of ticks (counted) and let the hedge act; backlog
+  // evidence always counts immediately.
+  if (t.in.breach && slo_breach && !backlog_breach &&
+      cfg_.service_defer_ticks > 0 && t.w.has_stage_evidence() &&
+      t.w.dominant_stage() == trace::Stage::kService &&
+      pc.service_defers_used < cfg_.service_defer_ticks) {
+    t.in.breach = false;
+    ++pc.service_defers_used;
+    ++service_deferrals_;
+  }
+  // Capacity guard: losing this path would leave fewer than
+  // min_serving_paths serving (forecast pre-quarantined paths are already
+  // not serving; earlier paths' transitions this tick count). A contained
+  // tail beats a masked fleet; the breach is suppressed (and counted),
+  // not queued.
+  if (t.in.breach && serving_count() <= cfg_.min_serving_paths) {
+    t.in.breach = false;
+    ++suppressed_quarantines_;
+  }
+}
+
+void Controller::run_fsm(PathTick& t) {
+  PathCtl& pc = paths_[t.p];
+  if (t.before == PathState::kDraining) {
+    act_.flush_path(t.p);
+    t.in.drained = act_.path_backlog(t.p) == 0;
+  } else if (t.before == PathState::kReinstated) {
+    // Every probation observation is a verdict: in-SLO counts toward
+    // graduation, out-of-SLO re-quarantines (handled by the FSM).
+    t.in.clean_probes = t.w.samples - t.w.violations;
+    t.in.violated_probes = t.w.violations;
+  }
+
+  if (pc.fsm.on_tick(t.in)) {
+    // Reactive takeover: once the FSM moves, its transition actuation
+    // owns the path's admission — the forecast hold dissolves without
+    // touching anything.
+    pc.pre_quarantined = false;
+    Decision d = t.decision("");
+    d.to = pc.fsm.state();
+    // A quarantine's stage verdict is the breaching window's — which may
+    // be a tick or two old by the time the FSM trips (hysteresis); the
+    // transition window itself can even be empty (masked tick).
+    const bool cut = d.to == PathState::kQuarantined;
+    d.dominant_stage = cut ? pc.last_dominant_stage : t.dominant_stage;
+    d.dominant_stage_ns = cut ? pc.last_dominant_ns : t.dominant_ns;
+    switch (d.to) {
+      case PathState::kQuarantined:
+        d.reason = t.before == PathState::kReinstated ? "probe_breach"
+                                                      : pc.last_breach_reason;
+        act_.set_admission(t.p, Admission::kDisabled);
         break;
       case PathState::kDraining:
-        act_.flush_path(p);
-        in.drained = act_.path_backlog(p) == 0;
+        d.reason = "drain_start";
+        act_.flush_path(t.p);
         break;
       case PathState::kReinstated:
-        // Every probation observation is a verdict: in-SLO counts toward
-        // graduation, out-of-SLO re-quarantines (handled by the FSM).
-        in.clean_probes = w.samples - w.violations;
-        in.violated_probes = w.violations;
+        d.reason = "drained";
+        act_.set_admission(t.p, Admission::kProbeOnly);
         break;
-      case PathState::kQuarantined:
+      case PathState::kActive:
+        d.reason = "probation_passed";
+        act_.set_admission(t.p, Admission::kEnabled);
         break;
     }
-
-    const bool changed = pc.fsm.on_tick(in);
-    const PathState after = pc.fsm.state();
-
-    // Reactive takeover: once the FSM moves, its transition actuation owns
-    // the path's admission — the forecast hold dissolves without touching
-    // anything.
-    if (changed && pc.pre_quarantined) pc.pre_quarantined = false;
-
-    if (changed) {
-      const char* reason = "";
-      switch (after) {
-        case PathState::kQuarantined:
-          reason = before == PathState::kReinstated ? "probe_breach"
-                                                    : pc.last_breach_reason;
-          act_.set_admission(p, Admission::kDisabled);
-          break;
-        case PathState::kDraining:
-          reason = "drain_start";
-          act_.flush_path(p);
-          break;
-        case PathState::kReinstated:
-          reason = "drained";
-          act_.set_admission(p, Admission::kProbeOnly);
-          break;
-        case PathState::kActive:
-          reason = "probation_passed";
-          act_.set_admission(p, Admission::kEnabled);
-          break;
-      }
-      Decision d;
-      d.tick = tick_;
-      d.now_ns = now_ns;
-      d.path = static_cast<std::uint16_t>(p);
-      d.from = before;
-      d.to = after;
-      d.reason = reason;
-      d.p99_ns = w.p99_ns;
-      d.samples = w.samples;
-      d.violations = w.violations;
-      d.backlog = backlog;
-      d.replicas = hedger_.replicas();
-      // A quarantine's stage verdict is the breaching window's — which may
-      // be a tick or two old by the time the FSM trips (hysteresis); the
-      // transition window itself can even be empty (masked tick).
-      if (after == PathState::kQuarantined) {
-        d.dominant_stage = pc.last_dominant_stage;
-        d.dominant_stage_ns = pc.last_dominant_ns;
-      } else {
-        d.dominant_stage = dominant_stage;
-        d.dominant_stage_ns = dominant_ns;
-      }
-      d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
-      log_decision(d);
-    }
-
-    if (pc.fsm.state() == PathState::kReinstated)
-      act_.grant_probes(p, cfg_.probe_grant_per_tick);
-
-    if (pc.fsm.state() == PathState::kActive && !pc.pre_quarantined) {
-      if (w.p99_ns > worst_serving_p99) {
-        worst_serving_p99 = w.p99_ns;
-        worst_serving_p50 = w.p50_ns;
-        worst_dominant_stage = dominant_stage;
-        worst_dominant_ns = dominant_ns;
-      }
-      serving_samples += w.samples;
-      if (est_ && fc.actionable &&
-          (!have_fc_worst || fc.p999_ns > fc_worst.p999_ns)) {
-        fc_worst = fc;
-        fc_worst_path = static_cast<std::uint16_t>(p);
-        have_fc_worst = true;
-      }
-    }
-  }
-
-  // Forecast stage, step 4: the global pre-hedge, BEFORE the reactive
-  // hedger reads the measured tail. Replication and the hedge deadline
-  // are plane-wide levers, so this is driven by the worst actionable
-  // forecast across serving paths: raise replication one step inside the
-  // budget and bias the PID deadline toward the floor, so the copies are
-  // already flowing when the predicted tail lands.
-  if (est_) {
-    const double slo = static_cast<double>(cfg_.slo_target_ns);
-    const double fc999 =
-        have_fc_worst ? static_cast<double>(fc_worst.p999_ns) : 0.0;
-    if (prehedge_active_) {
-      const bool calmed =
-          !have_fc_worst || fc999 < cfg_.forecast.restore_threshold * slo;
-      // Past max_hold the episode releases unless the forecast still
-      // clears the activation bar — a prediction that stays hot keeps the
-      // pre-hedge armed until reactive evidence resolves it.
-      const bool stale =
-          tick_ - prehedge_since_ >= cfg_.forecast.max_hold_ticks &&
-          fc999 < cfg_.forecast.prehedge_threshold * slo;
-      if (calmed || stale) {
-        prehedge_active_ = false;
-        ++forecast_restores_;
-        Decision d;
-        d.tick = tick_;
-        d.now_ns = now_ns;
-        d.path = Decision::kHedge;
-        d.reason = "forecast_restore";
-        d.p99_ns = worst_serving_p99;
-        d.samples = serving_samples;
-        d.replicas = hedger_.replicas();
-        d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
-        if (have_fc_worst) {
-          d.fc_p99_ns = fc_worst.p99_ns;
-          d.fc_p999_ns = fc_worst.p999_ns;
-          d.fc_confidence = fc_worst.confidence;
-          d.fc_horizon_ticks = fc_worst.horizon_ticks;
-        }
-        d.forecast_logged = true;
-        log_decision(d);
-      }
-    } else if (have_fc_worst &&
-               fc999 >= cfg_.forecast.prehedge_threshold * slo) {
-      prehedge_active_ = true;
-      prehedge_since_ = tick_;
-      ++forecast_prehedges_;
-      const std::size_t r_before = hedger_.replicas();
-      const std::size_t r_after = hedger_.pre_raise();
-      if (r_after != r_before) act_.set_replicas(r_after);
-      hedge_timeout_.pre_tighten(cfg_.forecast.pretighten_frac);
-      open_fp_episode(fc_worst_path);
-      Decision d;
-      d.tick = tick_;
-      d.now_ns = now_ns;
-      d.path = fc_worst_path;
-      d.from = paths_[fc_worst_path].fsm.state();
-      d.to = paths_[fc_worst_path].fsm.state();
-      d.reason = "forecast_prehedge";
-      d.p99_ns = worst_serving_p99;
-      d.samples = serving_samples;
-      d.replicas = r_after;
-      if (fc_worst.has_stage && fc_worst.dominant_stage_slope > 0.0)
-        d.dominant_stage = trace::stage_name(fc_worst.dominant_stage);
-      d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
-      d.fc_p99_ns = fc_worst.p99_ns;
-      d.fc_p999_ns = fc_worst.p999_ns;
-      d.fc_confidence = fc_worst.confidence;
-      d.fc_horizon_ticks = fc_worst.horizon_ticks;
-      d.forecast_logged = true;
-      log_decision(d);
-    }
-  }
-
-  const std::size_t before_r = hedger_.replicas();
-  const std::size_t after_r =
-      hedger_.update(worst_serving_p99, serving_samples, cfg_.slo_target_ns);
-  if (after_r != before_r) {
-    act_.set_replicas(after_r);
-    Decision d;
-    d.tick = tick_;
-    d.now_ns = now_ns;
-    d.path = Decision::kHedge;
-    d.reason = after_r > before_r ? "hedge_raise" : "hedge_lower";
-    d.p99_ns = worst_serving_p99;
-    d.samples = serving_samples;
-    d.replicas = after_r;
-    d.dominant_stage = worst_dominant_stage;
-    d.dominant_stage_ns = worst_dominant_ns;
-    d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
     log_decision(d);
   }
 
-  // The fine lever: move the hedge-fire deadline from measured p50-vs-SLO
-  // headroom on the worst serving path. Actuated (and logged) only when
-  // the PID output survives the deadband.
-  const std::uint64_t t_before = hedge_timeout_.timeout_ns();
-  const std::uint64_t t_after =
-      hedge_timeout_.update(worst_serving_p50, worst_serving_p99,
-                            serving_samples, cfg_.slo_target_ns);
-  if (t_after != t_before && t_after != 0) {
-    act_.set_hedge_timeout(t_after);
+  if (pc.fsm.state() == PathState::kReinstated)
+    act_.grant_probes(t.p, cfg_.probe_grant_per_tick);
+}
+
+void Controller::forecast_prehedge(const ServingTail& tail) {
+  // The global pre-hedge, BEFORE the reactive hedger reads the measured
+  // tail. Replication and the hedge deadline are plane-wide levers, so
+  // this is driven by the worst actionable forecast across serving paths:
+  // raise replication one step inside the budget and bias the PID
+  // deadline toward the floor, so the copies are already flowing when the
+  // predicted tail lands.
+  if (!est_) return;
+  const ForecastConfig& fc_cfg = cfg_.forecast;
+  const double slo = static_cast<double>(cfg_.slo_target_ns);
+  // Without an actionable forecast fc_worst is all zero.
+  const double fc999 = static_cast<double>(tail.fc_worst.p999_ns);
+  if (prehedge_active_) {
+    const bool calmed =
+        !tail.fc_worst.actionable || fc999 < fc_cfg.restore_threshold * slo;
+    // Past max_hold the episode releases unless the forecast still clears
+    // the activation bar — a prediction that stays hot keeps the
+    // pre-hedge armed until reactive evidence resolves it.
+    const bool stale = tick_ - prehedge_since_ >= fc_cfg.max_hold_ticks &&
+                       fc999 < fc_cfg.prehedge_threshold * slo;
+    if (!calmed && !stale) return;
+    prehedge_active_ = false;
+    ++forecast_restores_;
+    Decision d = tail.decision(Decision::kHedge, "forecast_restore",
+                               /*attributed=*/false);
+    log_decision(d, &tail.fc_worst);
+    return;
+  }
+  if (!tail.fc_worst.actionable || fc999 < fc_cfg.prehedge_threshold * slo) return;
+  prehedge_active_ = true;
+  prehedge_since_ = tick_;
+  ++forecast_prehedges_;
+  const std::size_t r_before = hedger_.replicas();
+  if (hedger_.pre_raise() != r_before) act_.set_replicas(hedger_.replicas());
+  hedge_timeout_.pre_tighten(fc_cfg.pretighten_frac);
+  paths_[tail.fc_worst_path].open_fp_episode(tick_);
+  Decision d = tail.decision(tail.fc_worst_path, "forecast_prehedge",
+                             /*attributed=*/false);
+  d.from = d.to = paths_[tail.fc_worst_path].fsm.state();
+  if (tail.fc_worst.has_stage && tail.fc_worst.dominant_stage_slope > 0.0)
+    d.dominant_stage = trace::stage_name(tail.fc_worst.dominant_stage);
+  log_decision(d, &tail.fc_worst);
+}
+
+void Controller::hedge(const ServingTail& tail) {
+  const std::size_t before = hedger_.replicas();
+  const std::size_t after =
+      hedger_.update(tail.p99_ns, tail.samples, cfg_.slo_target_ns);
+  if (after == before) return;
+  act_.set_replicas(after);
+  log_decision(tail.decision(Decision::kHedge,
+                             after > before ? "hedge_raise" : "hedge_lower",
+                             /*attributed=*/true));
+}
+
+void Controller::pid_deadline(const ServingTail& tail) {
+  // The fine lever: move the hedge-fire deadline from measured
+  // p50-vs-SLO headroom on the worst serving path. Actuated (and logged)
+  // only when the PID output survives the deadband.
+  const std::uint64_t before = hedge_timeout_.timeout_ns();
+  const std::uint64_t after = hedge_timeout_.update(
+      tail.p50_ns, tail.p99_ns, tail.samples, cfg_.slo_target_ns);
+  if (after == before || after == 0) return;
+  act_.set_hedge_timeout(after);
+  log_decision(
+      tail.decision(Decision::kHedge, "hedge_timeout", /*attributed=*/true));
+}
+
+void Controller::granularity(const ServingTail& tail) {
+  // The third lever: WHAT gets duplicated. Escalates toward flow replicas
+  // when the sustained pain is service-dominant (RepNet: clone the short
+  // flow away from the stolen core), toward packet hedging when it is
+  // queueing, and steps back to baseline once the tail calms.
+  if (!cfg_.granularity.enabled) return;
+  if (!gran_actuated_) {
+    act_.set_granularity(gran_.granularity());
+    gran_actuated_ = true;
+  }
+  const core::Granularity before = gran_.granularity();
+  const core::Granularity after = gran_.update(
+      tail.p99_ns, tail.samples, cfg_.slo_target_ns, tail.dominant_stage);
+  if (after == before) return;
+  act_.set_granularity(after);
+  Decision d = tail.decision(Decision::kGranularity, "granularity_shift",
+                             /*attributed=*/true);
+  d.gran_from = before;
+  d.gran_to = after;
+  log_decision(d);
+}
+
+void Controller::admit_tenants() {
+  // Harvest each tenant's window, advance its state machine, and mirror
+  // transitions into the plane. The judgment is the ARRIVAL contract, not
+  // the tenant's latency — under a storm every tenant's tail degrades, so
+  // latency evidence points at victims while the arrival budget points at
+  // the perpetrator (docs/TENANCY.md).
+  if (!tenants_) return;
+  for (std::size_t t = 0; t < tenants_->num_tenants(); ++t) {
+    const TenantAdmission::TickResult r = tenants_->tick_tenant(t);
+    if (exporter_) {
+      telem::TenantTickStats ts;
+      ts.tenant = static_cast<std::uint16_t>(t);
+      ts.state = tenant_state_name(r.after);
+      ts.arrivals = r.arrivals;
+      ts.admitted = r.admitted;
+      ts.dropped = r.dropped;
+      ts.flow_arrivals = r.flow_arrivals;
+      ts.samples = r.slo.samples;
+      ts.violations = r.slo.violations;
+      ts.p50_ns = r.slo.p50_ns;
+      ts.p99_ns = r.slo.p99_ns;
+      ts.p999_ns = r.slo.p999_ns;
+      ts.max_ns = r.slo.max_ns;
+      exporter_->add_tenant(ts);
+    }
+    if (!r.changed) continue;
+    act_.set_tenant_admission(static_cast<std::uint16_t>(t), r.after);
     Decision d;
-    d.tick = tick_;
-    d.now_ns = now_ns;
-    d.path = Decision::kHedge;
-    d.reason = "hedge_timeout";
-    d.p99_ns = worst_serving_p99;
-    d.samples = serving_samples;
-    d.replicas = hedger_.replicas();
-    d.dominant_stage = worst_dominant_stage;
-    d.dominant_stage_ns = worst_dominant_ns;
-    d.hedge_timeout_ns = t_after;
+    d.path = Decision::kTenant;
+    d.tenant = static_cast<std::uint16_t>(t);
+    d.tenant_from = r.before;
+    d.tenant_to = r.after;
+    d.reason = r.reason;
+    d.arrivals = r.arrivals;
+    d.p99_ns = r.slo.p99_ns;
+    d.samples = r.slo.samples;
+    d.violations = r.slo.violations;
     log_decision(d);
   }
-
-  // The third lever: WHAT gets duplicated. Escalates toward flow
-  // replicas when the sustained pain is service-dominant (RepNet: clone
-  // the short flow away from the stolen core), toward packet hedging
-  // when it is queueing, and steps back to baseline once the tail calms.
-  if (cfg_.granularity.enabled) {
-    if (!gran_actuated_) {
-      act_.set_granularity(gran_.granularity());
-      gran_actuated_ = true;
-    }
-    const core::Granularity g_before = gran_.granularity();
-    const core::Granularity g_after =
-        gran_.update(worst_serving_p99, serving_samples, cfg_.slo_target_ns,
-                     worst_dominant_stage);
-    if (g_after != g_before) {
-      act_.set_granularity(g_after);
-      Decision d;
-      d.tick = tick_;
-      d.now_ns = now_ns;
-      d.path = Decision::kGranularity;
-      d.reason = "granularity_shift";
-      d.gran_from = g_before;
-      d.gran_to = g_after;
-      d.p99_ns = worst_serving_p99;
-      d.samples = serving_samples;
-      d.replicas = hedger_.replicas();
-      d.dominant_stage = worst_dominant_stage;
-      d.dominant_stage_ns = worst_dominant_ns;
-      d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
-      log_decision(d);
-    }
-  }
-
-  // Tenant admission stage: harvest each tenant's window, advance its
-  // state machine, and mirror transitions into the plane. The judgment is
-  // the ARRIVAL contract, not the tenant's latency — under a storm every
-  // tenant's tail degrades, so latency evidence points at victims while
-  // the arrival budget points at the perpetrator (docs/TENANCY.md).
-  if (tenants_) {
-    for (std::size_t t = 0; t < tenants_->num_tenants(); ++t) {
-      const TenantAdmission::TickResult r = tenants_->tick_tenant(t);
-      if (exporter_) {
-        telem::TenantTickStats ts;
-        ts.tenant = static_cast<std::uint16_t>(t);
-        ts.state = tenant_state_name(r.after);
-        ts.arrivals = r.arrivals;
-        ts.admitted = r.admitted;
-        ts.dropped = r.dropped;
-        ts.flow_arrivals = r.flow_arrivals;
-        ts.samples = r.slo.samples;
-        ts.violations = r.slo.violations;
-        ts.p50_ns = r.slo.p50_ns;
-        ts.p99_ns = r.slo.p99_ns;
-        ts.p999_ns = r.slo.p999_ns;
-        ts.max_ns = r.slo.max_ns;
-        exporter_->add_tenant(ts);
-      }
-      if (!r.changed) continue;
-      act_.set_tenant_admission(static_cast<std::uint16_t>(t), r.after);
-      Decision d;
-      d.tick = tick_;
-      d.now_ns = now_ns;
-      d.path = Decision::kTenant;
-      d.tenant = static_cast<std::uint16_t>(t);
-      d.tenant_from = r.before;
-      d.tenant_to = r.after;
-      d.reason = r.reason;
-      d.arrivals = r.arrivals;
-      d.p99_ns = r.slo.p99_ns;
-      d.samples = r.slo.samples;
-      d.violations = r.slo.violations;
-      d.replicas = hedger_.replicas();
-      d.hedge_timeout_ns = hedge_timeout_.timeout_ns();
-      log_decision(d);
-    }
-  }
-
-  if (exporter_) exporter_->end_tick();
 }
 
 std::uint64_t Controller::quarantines() const noexcept {

@@ -9,17 +9,21 @@
 // plane's egress callback) and the plane's own atomic counters. That is
 // what makes test_ctrl's end-to-end case TSan-clean with workers running.
 //
-// Per tick, for every path:
-//   1. harvest the SloMonitor window,
-//   2. judge it (violation fraction vs threshold, and — for silent
-//      blackholes that produce NO completions — backlog vs backlog_limit),
-//   3. feed the PathStateMachine and actuate its transitions
-//      (mask / flush+drain / probe-only probation / re-enable),
-//   4. run the AdaptiveHedger on the worst serving-path p99.
-// Every transition and every hedge change is appended to a bounded
-// decision log, exported as the "ctrl" section of mdp.run_report.v2
-// (docs/OBSERVABILITY.md) so benches can show *when* and *why* the
-// controller acted.
+// One tick runs these stages in order (Controller::tick):
+//   per path, in path order:
+//     harvest        SloMonitor window, backlog, forecast, telem row
+//     forecast_path  proactive probe-only hold, forecast probes, release
+//     judge          violation fraction and backlog vs their limits,
+//                    service deferral and the capacity guard
+//     run_fsm        the PathStateMachine and its transition actuation
+//                    (mask / flush+drain / probation / re-enable)
+//   then plane-wide, on the worst serving path's evidence:
+//     forecast_prehedge, hedge, pid_deadline, granularity, admit_tenants
+// The order is observable in the decision log: the capacity guard counts
+// earlier paths' transitions this tick, and tenants run last. Every action
+// lands in a bounded decision log, exported as the "ctrl" section of
+// mdp.run_report.v2 (docs/OBSERVABILITY.md) so benches can show *when*
+// and *why* the controller acted.
 #pragma once
 
 #include <cstdint>
@@ -201,7 +205,6 @@ class Controller {
   std::uint64_t quarantines() const noexcept;
   std::uint64_t reinstatements() const noexcept;
   std::uint64_t hedge_raises() const noexcept { return hedger_.raises(); }
-  std::uint64_t hedge_lowers() const noexcept { return hedger_.lowers(); }
   std::uint64_t suppressed_quarantines() const noexcept {
     return suppressed_quarantines_;
   }
@@ -253,15 +256,6 @@ class Controller {
   /// Controller-tick windows whose reactive judge saw an SLO breach
   /// (counted per path per tick; the A/B bench's primary metric).
   std::uint64_t breach_windows() const noexcept { return breach_windows_; }
-  /// True while a forecast pre-quarantine holds `p` at kProbeOnly.
-  bool pre_quarantined(std::size_t p) const noexcept {
-    return p < paths_.size() && paths_[p].pre_quarantined;
-  }
-  /// The estimator's current forecast for `p` (default-constructed, never
-  /// actionable, while the stage is disabled).
-  forecast::Forecast path_forecast(std::size_t p) const {
-    return est_ ? est_->forecast(p) : forecast::Forecast{};
-  }
 
   const std::vector<Decision>& decisions() const noexcept {
     return decisions_;
@@ -269,8 +263,6 @@ class Controller {
 
   // Runtime-adjustable knobs (caller thread; apply from the next tick).
   void set_slo_target_ns(std::uint64_t t);
-  void set_violation_threshold(double f) { cfg_.violation_threshold = f; }
-  void set_backlog_limit(std::uint64_t n) { cfg_.backlog_limit = n; }
   const Config& config() const noexcept { return cfg_; }
 
   // --- tenancy (optional; see docs/TENANCY.md) -----------------------------
@@ -354,16 +346,37 @@ class Controller {
     /// reactive slo_breach (confirm) or expiry (false positive).
     bool fp_pending = false;
     std::uint64_t fp_since = 0;
+    /// Open an episode at `tick` (no-op while one is pending: overlapping
+    /// actuations share the first episode's clock).
+    void open_fp_episode(std::uint64_t tick) {
+      if (!fp_pending) fp_since = tick;
+      fp_pending = true;
+    }
   };
 
-  void log_decision(Decision d);
+  struct PathTick;     // one path's evidence for the current tick
+  struct ServingTail;  // the worst serving path's, for the plane-wide stages
+
+  // The stages of tick(), in order.
+  PathTick harvest(std::size_t p);
+  void forecast_path(const PathTick& t);
+  void judge(PathTick& t);
+  void run_fsm(PathTick& t);
+  void forecast_prehedge(const ServingTail& tail);
+  void hedge(const ServingTail& tail);
+  void pid_deadline(const ServingTail& tail);
+  void granularity(const ServingTail& tail);
+  void admit_tenants();
+
+  /// Append `d` stamped with the tick, its time, the replica count and
+  /// hedge deadline in force, and — for forecast_* actions — the forecast
+  /// `fc` it acted on.
+  void log_decision(Decision d, const forecast::Forecast* fc = nullptr);
   std::size_t active_count() const;
-  /// kActive paths NOT held by a forecast pre-quarantine (== active_count
-  /// while the forecast stage is disabled).
+  /// kActive and NOT held by a forecast pre-quarantine.
+  bool serving(std::size_t p) const;
+  /// Paths serving() (== active_count while forecasting is disabled).
   std::size_t serving_count() const;
-  /// Open a confirmation episode on `p` (no-op while one is pending:
-  /// overlapping actuations share the first episode's clock).
-  void open_fp_episode(std::size_t p);
 
   Config cfg_;
   Actuator& act_;
@@ -384,6 +397,7 @@ class Controller {
   std::vector<PathCtl> paths_;
   std::vector<Decision> decisions_;
   std::uint64_t tick_ = 0;
+  std::uint64_t now_ns_ = 0;  ///< time of the current tick
   std::uint64_t suppressed_quarantines_ = 0;
   std::uint64_t service_deferrals_ = 0;
   std::uint64_t decisions_evicted_ = 0;

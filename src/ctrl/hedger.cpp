@@ -18,37 +18,17 @@ std::size_t AdaptiveHedger::update(std::uint64_t worst_p99_ns,
                                    std::uint64_t samples,
                                    std::uint64_t slo_target_ns) {
   if (!cfg_.enabled || slo_target_ns == 0) return replicas_;
-  if (cooldown_ > 0) --cooldown_;
-  if (samples < cfg_.min_samples) {
-    // No signal: hold streaks, don't let silence accumulate toward a
-    // change (mirrors the state machine's has_signal rule).
-    raise_streak_ = 0;
-    lower_streak_ = 0;
-    return replicas_;
-  }
-  const double inflation = static_cast<double>(worst_p99_ns) /
-                           static_cast<double>(slo_target_ns);
-  if (inflation > cfg_.raise_threshold) {
-    lower_streak_ = 0;
-    if (++raise_streak_ >= cfg_.sustain_ticks && cooldown_ == 0 &&
-        replicas_ < cfg_.max_replicas) {
-      ++replicas_;
-      ++raises_;
-      raise_streak_ = 0;
-      cooldown_ = cfg_.cooldown_ticks;
-    }
-  } else if (inflation < cfg_.lower_threshold) {
-    raise_streak_ = 0;
-    if (++lower_streak_ >= cfg_.sustain_ticks && cooldown_ == 0 &&
-        replicas_ > cfg_.min_replicas) {
-      --replicas_;
-      ++lowers_;
-      lower_streak_ = 0;
-      cooldown_ = cfg_.cooldown_ticks;
-    }
-  } else {
-    raise_streak_ = 0;
-    lower_streak_ = 0;
+  // An edge with no room to move is dropped. Its streak restart is
+  // unobservable: the opposite edge must move first, and that resets it.
+  const int step = band_.update(cfg_, worst_p99_ns, samples, slo_target_ns);
+  if (step > 0 && replicas_ < cfg_.max_replicas) {
+    ++replicas_;
+    ++raises_;
+    band_.restart(cfg_.cooldown_ticks);
+  } else if (step < 0 && replicas_ > cfg_.min_replicas) {
+    --replicas_;
+    ++lowers_;
+    band_.restart(cfg_.cooldown_ticks);
   }
   return replicas_;
 }
@@ -116,41 +96,27 @@ GranularityController::GranularityController(GranularityConfig cfg)
 core::Granularity GranularityController::escalate(
     const char* dominant_stage) const {
   using core::Granularity;
+  // Queueing pain re-queues fine with hedges alone; service pain needs
+  // whole-flow copies on a path whose core is not stolen. Any single mode
+  // escalates to both.
   const bool service_pain =
       dominant_stage != nullptr &&
       std::strcmp(dominant_stage, "service") == 0;
-  switch (granularity_) {
-    case Granularity::kNone:
-      return Granularity::kPacketHedge;
-    case Granularity::kPacketHedge:
-      // Queueing pain re-queues fine with hedges alone; service pain
-      // needs whole-flow copies on a path whose core is not stolen.
-      return service_pain ? Granularity::kFlowReplica : Granularity::kBoth;
-    case Granularity::kFlowReplica:
-      return Granularity::kBoth;
-    case Granularity::kBoth:
-      return Granularity::kBoth;
-  }
-  return granularity_;
+  if (granularity_ == Granularity::kNone) return Granularity::kPacketHedge;
+  if (granularity_ == Granularity::kPacketHedge && service_pain)
+    return Granularity::kFlowReplica;
+  return Granularity::kBoth;
 }
 
 core::Granularity GranularityController::deescalate() const {
   using core::Granularity;
-  if (granularity_ == cfg_.baseline) return granularity_;
-  switch (granularity_) {
-    case Granularity::kBoth:
-      // Step down through whichever single mode the baseline is not, so
-      // the ladder converges on baseline rather than oscillating.
-      return cfg_.baseline == Granularity::kFlowReplica
-                 ? Granularity::kFlowReplica
-                 : Granularity::kPacketHedge;
-    case Granularity::kFlowReplica:
-    case Granularity::kPacketHedge:
-      return cfg_.baseline;
-    case Granularity::kNone:
-      return cfg_.baseline;
-  }
-  return cfg_.baseline;
+  // kBoth steps down through whichever single mode the baseline is not,
+  // so the ladder converges on baseline rather than oscillating; every
+  // other setting returns to baseline directly.
+  if (granularity_ != Granularity::kBoth || cfg_.baseline == Granularity::kBoth)
+    return cfg_.baseline;
+  return cfg_.baseline == Granularity::kFlowReplica ? Granularity::kFlowReplica
+                                                    : Granularity::kPacketHedge;
 }
 
 core::Granularity GranularityController::update(std::uint64_t worst_p99_ns,
@@ -158,39 +124,14 @@ core::Granularity GranularityController::update(std::uint64_t worst_p99_ns,
                                                 std::uint64_t slo_target_ns,
                                                 const char* dominant_stage) {
   if (!cfg_.enabled || slo_target_ns == 0) return granularity_;
-  if (cooldown_ > 0) --cooldown_;
-  if (samples < cfg_.min_samples) {
-    raise_streak_ = 0;
-    lower_streak_ = 0;
-    return granularity_;
-  }
-  const double inflation = static_cast<double>(worst_p99_ns) /
-                           static_cast<double>(slo_target_ns);
-  if (inflation > cfg_.raise_threshold) {
-    lower_streak_ = 0;
-    if (++raise_streak_ >= cfg_.sustain_ticks && cooldown_ == 0) {
-      const core::Granularity next = escalate(dominant_stage);
-      raise_streak_ = 0;
-      if (next != granularity_) {
-        granularity_ = next;
-        ++shifts_;
-        cooldown_ = cfg_.cooldown_ticks;
-      }
-    }
-  } else if (inflation < cfg_.lower_threshold) {
-    raise_streak_ = 0;
-    if (++lower_streak_ >= cfg_.sustain_ticks && cooldown_ == 0) {
-      const core::Granularity next = deescalate();
-      lower_streak_ = 0;
-      if (next != granularity_) {
-        granularity_ = next;
-        ++shifts_;
-        cooldown_ = cfg_.cooldown_ticks;
-      }
-    }
-  } else {
-    raise_streak_ = 0;
-    lower_streak_ = 0;
+  const int step = band_.update(cfg_, worst_p99_ns, samples, slo_target_ns);
+  const core::Granularity next = step > 0   ? escalate(dominant_stage)
+                                 : step < 0 ? deescalate()
+                                            : granularity_;
+  if (next != granularity_) {
+    granularity_ = next;
+    ++shifts_;
+    band_.restart(cfg_.cooldown_ticks);
   }
   return granularity_;
 }

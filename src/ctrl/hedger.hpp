@@ -12,18 +12,66 @@
 //   inflation < lower_threshold  (sustained)  -> replicas - 1
 //
 // Both edges require `sustain_ticks` consecutive out-of-band windows and
-// respect a cooldown after every change, so the factor ratchets instead of
-// oscillating with one noisy window — the same hysteresis discipline as
-// the PathStateMachine. Pure decision logic; the Controller actuates the
-// returned factor through Actuator::set_replicas().
+// respect a cooldown after every change (HysteresisBand below), so the
+// factor ratchets instead of oscillating with one noisy window — the same
+// hysteresis discipline as the PathStateMachine. Pure decision logic; the
+// Controller actuates the returned factor through Actuator::set_replicas().
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
 #include "core/granularity.hpp"
 
 namespace mdp::ctrl {
+
+/// The sustain/cooldown band described above, shared by the replica and the
+/// granularity ratchets (it reads the identically named fields of either
+/// config). update() returns +1 when the raise edge fires, -1 for the
+/// lower edge, 0 otherwise. A fired edge restarts its streak; the caller
+/// decides whether it becomes a change.
+class HysteresisBand {
+ public:
+  template <typename Config>
+  int update(const Config& c, std::uint64_t worst_p99_ns,
+             std::uint64_t samples, std::uint64_t slo_target_ns) {
+    if (cooldown_ > 0) --cooldown_;
+    // A window below min_samples carries no signal and resets both
+    // streaks, so silence never accumulates toward a change (the state
+    // machine's has_signal rule); so does an in-band window.
+    const double inflation = static_cast<double>(worst_p99_ns) /
+                             static_cast<double>(slo_target_ns);
+    const bool signal = samples >= c.min_samples;
+    const bool up = signal && inflation > c.raise_threshold;
+    const bool down = signal && !up && inflation < c.lower_threshold;
+    raise_streak_ = up ? raise_streak_ + 1 : 0;
+    lower_streak_ = down ? lower_streak_ + 1 : 0;
+    if (cooldown_ > 0) return 0;
+    if (raise_streak_ >= c.sustain_ticks) {
+      raise_streak_ = 0;
+      return +1;
+    }
+    if (lower_streak_ >= c.sustain_ticks) {
+      lower_streak_ = 0;
+      return -1;
+    }
+    return 0;
+  }
+
+  /// A change was made: hold off the next one for `cooldown_ticks`.
+  void restart(int cooldown_ticks) {
+    raise_streak_ = 0;
+    lower_streak_ = 0;
+    cooldown_ = cooldown_ticks;
+  }
+  bool cooling() const noexcept { return cooldown_ > 0; }
+
+ private:
+  int raise_streak_ = 0;
+  int lower_streak_ = 0;
+  int cooldown_ = 0;
+};
 
 struct HedgerConfig {
   bool enabled = true;
@@ -57,30 +105,23 @@ class AdaptiveHedger {
   /// flapping forecast can't ratchet replicas faster than measurement
   /// could. Returns the (possibly unchanged) factor.
   std::size_t pre_raise() {
-    if (!cfg_.enabled || cooldown_ > 0 || replicas_ >= cfg_.max_replicas)
+    if (!cfg_.enabled || band_.cooling() || replicas_ >= cfg_.max_replicas)
       return replicas_;
     ++replicas_;
-    ++pre_raises_;
-    raise_streak_ = 0;
-    lower_streak_ = 0;
-    cooldown_ = cfg_.cooldown_ticks;
+    band_.restart(cfg_.cooldown_ticks);
     return replicas_;
   }
 
   std::size_t replicas() const noexcept { return replicas_; }
   std::uint64_t raises() const noexcept { return raises_; }
   std::uint64_t lowers() const noexcept { return lowers_; }
-  std::uint64_t pre_raises() const noexcept { return pre_raises_; }
 
  private:
   HedgerConfig cfg_;
+  HysteresisBand band_;
   std::size_t replicas_;
-  int raise_streak_ = 0;
-  int lower_streak_ = 0;
-  int cooldown_ = 0;
   std::uint64_t raises_ = 0;
   std::uint64_t lowers_ = 0;
-  std::uint64_t pre_raises_ = 0;
 };
 
 // --- hedge-timeout control -------------------------------------------------------
@@ -143,10 +184,7 @@ class HedgeTimeoutController {
   /// update()'s normal deadband/actuation path — the PID stays the single
   /// writer of the actuated deadline, the forecast only biases it.
   void pre_tighten(double frac) {
-    if (!cfg_.enabled) return;
-    if (frac < 0.0) frac = 0.0;
-    if (frac > 1.0) frac = 1.0;
-    position_ *= 1.0 - frac;
+    if (cfg_.enabled) position_ *= 1.0 - std::clamp(frac, 0.0, 1.0);
   }
 
  private:
@@ -218,10 +256,8 @@ class GranularityController {
   core::Granularity deescalate() const;
 
   GranularityConfig cfg_;
+  HysteresisBand band_;
   core::Granularity granularity_;
-  int raise_streak_ = 0;
-  int lower_streak_ = 0;
-  int cooldown_ = 0;
   std::uint64_t shifts_ = 0;
 };
 

@@ -13,56 +13,42 @@ const char* tenant_state_name(TenantState s) noexcept {
 }
 
 bool TenantStateMachine::on_window(bool storming) {
-  if (storming) {
-    ++storm_streak_;
-    calm_streak_ = 0;
-  } else {
-    ++calm_streak_;
-    storm_streak_ = 0;
-  }
-  const TenantState before = state_;
+  storm_streak_ = storming ? storm_streak_ + 1 : 0;
+  calm_streak_ = storming ? 0 : calm_streak_ + 1;
+  TenantState next = state_;
   switch (state_) {
     case TenantState::kAdmitted:
-      if (storm_streak_ >= throttle_after_) {
-        state_ = TenantState::kThrottled;
-        ++throttles_;
-        storm_streak_ = 0;
-      }
+      if (storm_streak_ >= throttle_after_) next = TenantState::kThrottled;
       break;
     case TenantState::kThrottled:
       // Still storming through the throttle: escalate to a full shed.
-      if (storm_streak_ >= shed_after_) {
-        state_ = TenantState::kShed;
-        ++sheds_;
-        storm_streak_ = 0;
-      } else if (calm_streak_ >= cooldown_windows_) {
-        state_ = TenantState::kAdmitted;
-        ++reinstates_;
-        calm_streak_ = 0;
-      }
+      if (storm_streak_ >= shed_after_)
+        next = TenantState::kShed;
+      else if (calm_streak_ >= cooldown_windows_)
+        next = TenantState::kAdmitted;
       break;
     case TenantState::kShed:
       // Arrivals measure OFFERED load while shed (nothing is admitted),
       // so calm here means the storm source actually stopped.
-      if (calm_streak_ >= cooldown_windows_) {
-        state_ = TenantState::kProbation;
-        calm_streak_ = 0;
-      }
+      if (calm_streak_ >= cooldown_windows_) next = TenantState::kProbation;
       break;
     case TenantState::kProbation:
       // Probation has no hysteresis: one storming window re-sheds.
-      if (storming) {
-        state_ = TenantState::kShed;
-        ++sheds_;
-        storm_streak_ = 0;
-      } else if (calm_streak_ >= probation_windows_) {
-        state_ = TenantState::kAdmitted;
-        ++reinstates_;
-        calm_streak_ = 0;
-      }
+      if (storming)
+        next = TenantState::kShed;
+      else if (calm_streak_ >= probation_windows_)
+        next = TenantState::kAdmitted;
       break;
   }
-  return state_ != before;
+  if (next == state_) return false;
+  // Every transition starts both streaks afresh in the new state.
+  state_ = next;
+  storm_streak_ = 0;
+  calm_streak_ = 0;
+  if (next == TenantState::kThrottled) ++throttles_;
+  if (next == TenantState::kShed) ++sheds_;
+  if (next == TenantState::kAdmitted) ++reinstates_;
+  return true;
 }
 
 TenantAdmission::TenantAdmission(TenantAdmissionConfig cfg)
@@ -96,19 +82,17 @@ bool TenantAdmission::admit(std::uint16_t tenant) noexcept {
     case TenantState::kProbation:
       s.admitted.fetch_add(1, std::memory_order_relaxed);
       return true;
-    case TenantState::kThrottled: {
+    case TenantState::kThrottled:
       // Deterministic 1-in-N keep: the fetch_add sequences concurrent
-      // callers, so exactly one of every N consecutive arrivals passes.
-      const std::uint64_t seq =
-          s.throttle_seq.fetch_add(1, std::memory_order_relaxed);
-      if (seq % cfg_.tenants[tenant].throttle_keep_one_in == 0) {
+      // callers, so exactly one of every N consecutive arrivals passes;
+      // the rest are dropped like a shed tenant's.
+      if (s.throttle_seq.fetch_add(1, std::memory_order_relaxed) %
+              cfg_.tenants[tenant].throttle_keep_one_in ==
+          0) {
         s.admitted.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
-      s.dropped.fetch_add(1, std::memory_order_relaxed);
-      s.lifetime_dropped.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+      [[fallthrough]];
     case TenantState::kShed:
       s.dropped.fetch_add(1, std::memory_order_relaxed);
       s.lifetime_dropped.fetch_add(1, std::memory_order_relaxed);
@@ -165,12 +149,11 @@ TenantAdmission::TickResult TenantAdmission::tick_tenant(
   if (r.changed) {
     s.state.store(static_cast<std::uint8_t>(r.after),
                   std::memory_order_relaxed);
-    switch (r.after) {
-      case TenantState::kThrottled: r.reason = "tenant_throttle"; break;
-      case TenantState::kShed: r.reason = "tenant_shed"; break;
-      case TenantState::kProbation: r.reason = "tenant_probation"; break;
-      case TenantState::kAdmitted: r.reason = "tenant_reinstate"; break;
-    }
+    // The reason names the state entered, in TenantState order.
+    static constexpr const char* kReasons[] = {
+        "tenant_reinstate", "tenant_throttle", "tenant_shed",
+        "tenant_probation"};
+    r.reason = kReasons[static_cast<std::size_t>(r.after)];
   }
   return r;
 }

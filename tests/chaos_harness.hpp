@@ -281,21 +281,8 @@ class ChaosRig {
           ++res.egressed;
           res.delivered_log.push_back((std::uint64_t{a.flow_id} << 32) |
                                       a.seq);
-          // Stage-attributed span from the rig's stamps: generation ->
-          // queue (ingress/dispatch), tx onto the wire (service start),
-          // rx off the wire (service end / merge), reorder emit (egress).
-          trace::SpanRecord sp;
-          sp.ingress_ns = a.ingress_ns;
-          sp.dispatch_ns = a.ingress_ns;
-          sp.service_start_ns = a.dispatch_ns;
-          sp.service_end_ns = a.egress_ns;
-          sp.chain_done_ns = a.egress_ns;
-          sp.merge_ns = a.egress_ns;
-          sp.egress_ns = static_cast<std::uint64_t>(eq.now());
-          sp.flow_id = a.flow_id;
-          sp.seq = a.seq;
-          sp.path_id = a.path_id;
-          sp.active = true;
+          const trace::SpanRecord sp =
+              span_of(a, static_cast<std::uint64_t>(eq.now()));
           mon_->observe_span(a.path_id, sp);
           res.latency_log.emplace_back(sp.egress_ns,
                                        sp.egress_ns - a.ingress_ns);
@@ -363,19 +350,8 @@ class ChaosRig {
               // The losing copy's true per-copy wire latency, charged to
               // the path that carried it — the evidence a hedge rescue
               // would otherwise erase (see the config flag's comment).
-              trace::SpanRecord sp;
-              sp.ingress_ns = a.ingress_ns;
-              sp.dispatch_ns = a.ingress_ns;
-              sp.service_start_ns = a.dispatch_ns;
-              sp.service_end_ns = a.egress_ns;
-              sp.chain_done_ns = a.egress_ns;
-              sp.merge_ns = a.egress_ns;
-              sp.egress_ns = static_cast<std::uint64_t>(eq.now());
-              sp.flow_id = a.flow_id;
-              sp.seq = a.seq;
-              sp.path_id = a.path_id;
-              sp.active = true;
-              mon_->observe_span(a.path_id, sp);
+              mon_->observe_span(
+                  a.path_id, span_of(a, static_cast<std::uint64_t>(eq.now())));
             }
             rig_chan_->emit(static_cast<std::uint64_t>(eq.now()),
                             telem::EventType::kDedupDrop, a.path_id, 1,
@@ -385,6 +361,45 @@ class ChaosRig {
         reorder.submit_batch({got, n});
         for (std::size_t i = 0; i < n; ++i) got[i].reset();
       }
+    };
+
+    // One copy of (flow, seq) onto `path`, stamped at the current
+    // iteration. Pool exhausted: account the missing copy so dedup can
+    // still retire the key (scenarios size the pool to make this
+    // unreachable; the counter keeps it honest).
+    auto send_copy = [&](std::uint64_t key, std::uint32_t flow,
+                         std::uint64_t seq, std::uint16_t path,
+                         std::size_t copy, std::uint16_t tenant) {
+      net::PacketPtr pkt = make_frame(pool, flow, seq, path,
+                                      static_cast<std::uint8_t>(copy), tenant);
+      if (!pkt) {
+        dedup.cancel_one(key);
+        ++pool_exhausted_;
+        return false;
+      }
+      pkt->anno().ingress_ns = now_ns_;
+      queues_[path].push_back(std::move(pkt));
+      ++res.copies_sent;
+      return true;
+    };
+    // Packet dispatch of the live replication factor (legacy and tenant
+    // mode); single copies are tracked for the hedge sweep.
+    auto dispatch = [&](std::uint32_t flow, std::uint64_t seq,
+                        std::uint16_t tenant) {
+      const std::uint64_t key = core::Deduplicator::key(flow, seq);
+      const std::size_t copies =
+          std::min<std::size_t>(replicas_, cfg_.num_paths);
+      dedup.expect(key, static_cast<std::uint8_t>(copies), eq.now());
+      ++res.generated;
+      std::uint16_t first_path = 0;
+      for (std::size_t c = 0; c < copies; ++c) {
+        const std::uint16_t path = pick_path(flow);
+        if (c == 0) first_path = path;
+        send_copy(key, flow, seq, path, c, tenant);
+      }
+      if (copies == 1)
+        outstanding.push_back({key, flow, seq, now_ns_, first_path, false,
+                               tenant});
     };
 
     const std::uint64_t total_iters = cfg_.iterations;
@@ -424,29 +439,7 @@ class ChaosRig {
             last_seq.resize(flow + 1, 0);
             any_seq.resize(flow + 1, false);
           }
-          const std::uint64_t seq = next_seq[flow]++;
-          const std::uint64_t key = core::Deduplicator::key(flow, seq);
-          const std::size_t copies =
-              std::min<std::size_t>(replicas_, cfg_.num_paths);
-          dedup.expect(key, static_cast<std::uint8_t>(copies), eq.now());
-          ++res.generated;
-          std::uint16_t first_path = 0;
-          for (std::size_t c = 0; c < copies; ++c) {
-            const std::uint16_t path = pick_path(flow);
-            if (c == 0) first_path = path;
-            net::PacketPtr pkt = make_frame(
-                pool, flow, seq, path, static_cast<std::uint8_t>(c), t);
-            if (!pkt) {
-              dedup.cancel_one(key);
-              ++pool_exhausted_;
-              continue;
-            }
-            pkt->anno().ingress_ns = now;
-            queues_[path].push_back(std::move(pkt));
-            ++res.copies_sent;
-          }
-          if (copies == 1)
-            outstanding.push_back({key, flow, seq, now, first_path, false, t});
+          dispatch(flow, next_seq[flow]++, t);
         };
         // Storm events: each arrival opens a flow (and emits its first
         // packet); teardowns retire flows FIFO per tenant.
@@ -490,7 +483,6 @@ class ChaosRig {
           const std::uint32_t flow =
               static_cast<std::uint32_t>(next_u64() % cfg_.flows);
           const std::uint64_t seq = next_seq[flow]++;
-          const std::uint64_t key = core::Deduplicator::key(flow, seq);
           // Flow-granularity replication: the whole flow rides its stable
           // admissible pair, both copies expected up front (first copy
           // wins at dedup). Never tracked in `outstanding` — a replicated
@@ -499,47 +491,15 @@ class ChaosRig {
           if (cfg_.flow_replica &&
               core::granularity_allows_flow_replica(granularity_) &&
               replica_pair(flow, rpaths)) {
+            const std::uint64_t key = core::Deduplicator::key(flow, seq);
             dedup.expect(key, 2, eq.now());
             ++res.generated;
-            for (std::size_t c = 0; c < 2; ++c) {
-              net::PacketPtr pkt = make_frame(
-                  pool, flow, seq, rpaths[c], static_cast<std::uint8_t>(c));
-              if (!pkt) {
-                dedup.cancel_one(key);
-                ++pool_exhausted_;
-                continue;
-              }
-              pkt->anno().ingress_ns = now;
-              queues_[rpaths[c]].push_back(std::move(pkt));
-              ++res.copies_sent;
-              if (c > 0) ++res.flow_replicas;
-            }
+            for (std::size_t c = 0; c < 2; ++c)
+              if (send_copy(key, flow, seq, rpaths[c], c, kNoTenant) && c > 0)
+                ++res.flow_replicas;
             continue;
           }
-          const std::size_t copies =
-              std::min<std::size_t>(replicas_, cfg_.num_paths);
-          dedup.expect(key, static_cast<std::uint8_t>(copies), eq.now());
-          ++res.generated;
-          std::uint16_t first_path = 0;
-          for (std::size_t c = 0; c < copies; ++c) {
-            const std::uint16_t path = pick_path(flow);
-            if (c == 0) first_path = path;
-            net::PacketPtr pkt = make_frame(
-                pool, flow, seq, path, static_cast<std::uint8_t>(c));
-            if (!pkt) {
-              // Pool exhausted: account the missing copy so dedup can
-              // still retire the key. Scenarios size the pool to make
-              // this unreachable; the counter keeps it honest.
-              dedup.cancel_one(key);
-              ++pool_exhausted_;
-              continue;
-            }
-            pkt->anno().ingress_ns = now;
-            queues_[path].push_back(std::move(pkt));
-            ++res.copies_sent;
-          }
-          if (copies == 1)
-            outstanding.push_back({key, flow, seq, now, first_path, false});
+          dispatch(flow, seq, kNoTenant);
         }
         if (cfg_.packets_per_iter > 0)
           rig_chan_->emit(now, telem::EventType::kIngressBurst,
@@ -731,6 +691,26 @@ class ChaosRig {
   /// rig's classifier rules and frame builder must agree on this.
   static constexpr std::uint32_t tenant_subnet(std::uint16_t t) noexcept {
     return 0x0a000000u | (static_cast<std::uint32_t>(t + 1) << 20);
+  }
+
+  /// Stage-attributed span from the rig's stamps: generation -> queue
+  /// (ingress/dispatch), tx onto the wire (service start), rx off the
+  /// wire (service end / merge), reorder emit or dedup drop (egress).
+  static trace::SpanRecord span_of(const net::Annotations& a,
+                                   std::uint64_t egress_ns) {
+    trace::SpanRecord sp;
+    sp.ingress_ns = a.ingress_ns;
+    sp.dispatch_ns = a.ingress_ns;
+    sp.service_start_ns = a.dispatch_ns;
+    sp.service_end_ns = a.egress_ns;
+    sp.chain_done_ns = a.egress_ns;
+    sp.merge_ns = a.egress_ns;
+    sp.egress_ns = egress_ns;
+    sp.flow_id = a.flow_id;
+    sp.seq = a.seq;
+    sp.path_id = a.path_id;
+    sp.active = true;
+    return sp;
   }
 
   net::PacketPtr make_frame(net::PacketPool& pool, std::uint32_t flow_id,

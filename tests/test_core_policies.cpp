@@ -3,7 +3,10 @@
 // the never-pick-a-down-path property across all policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/scheduler.hpp"
 #include "net/flow_key.hpp"
@@ -164,6 +167,34 @@ TEST_F(PolicyFixture, RedundantClampsToAvailablePaths) {
   auto p = pkt();
   auto out = select(s, ctx, *p);
   EXPECT_EQ(out.size(), 2u);
+}
+
+// k_least_backlog_paths inserts into the caller's buffer; it must agree
+// with a sort by (backlog, id) over the up paths on random backlogs with
+// frequent ties and down paths, for every k, and append after whatever
+// the buffer already held.
+TEST(KLeastBacklogPaths, MatchesSortReferenceWithTiesAndDownPaths) {
+  sim::Rng rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 1 + rng.uniform_u64(8);
+    FakeContext ctx(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      ctx.up_v[p] = rng.bernoulli(0.75);
+      ctx.backlog[p] = rng.uniform_u64(4) * 1'000;  // few values: ties
+    }
+    std::vector<std::pair<sim::TimeNs, std::uint16_t>> ref;
+    for (std::size_t p = 0; p < n; ++p)
+      if (ctx.up_v[p]) ref.emplace_back(ctx.backlog[p], p);
+    std::sort(ref.begin(), ref.end());
+    for (std::size_t k = 0; k <= n + 1; ++k) {
+      PathVec out = {99};
+      k_least_backlog_paths(ctx, k, out);
+      PathVec want = {99};
+      for (std::size_t i = 0; i < ref.size() && i < k; ++i)
+        want.push_back(ref[i].second);
+      ASSERT_EQ(out, want) << "trial " << trial << " k " << k;
+    }
+  }
 }
 
 TEST_F(PolicyFixture, AdaptiveReplicatesCriticalOnly) {
