@@ -98,7 +98,7 @@ BENCHMARK(BM_MpmcPushPop);
 
 // Packed-vs-padded per-path counters, the before/after for padding the
 // plane's hot atomics (ThreadedDataPlane::path_completed_, SloMonitor's
-// per-path windows) to std::hardware_destructive_interference_size. Each
+// per-path windows) to stats::kCacheLineSize (64 B). Each
 // thread hammers its own logical counter; in the packed layout adjacent
 // counters share a cache line, so every increment fights its neighbors'
 // cores for the line (false sharing). The padded row gives each counter

@@ -121,14 +121,16 @@ class MdpDataPlane final : public PathContext {
   Granularity granularity() const noexcept { return granularity_; }
 
   /// Flow completed (workload signal): forget its replication decision,
-  /// its sequence counter, its pending dedup entries and the scheduler's
-  /// per-flow state. Copies still in flight become late drops — released,
-  /// never double-delivered. The flow id must not be reused afterwards
-  /// (its sequence would restart).
+  /// its sequence counter, its pending dedup entries, its reorder window
+  /// (when nothing of it is buffered) and the scheduler's per-flow state.
+  /// Copies still in flight become late drops — released, never
+  /// double-delivered. The flow id must not be reused afterwards (its
+  /// sequence would restart).
   void end_flow(std::uint32_t flow_id) {
     if (replicator_) replicator_->erase(flow_id);
     next_seq_.erase(flow_id);
     dedup_.release_flow(flow_id);
+    reorder_->retire_flow(flow_id);
     scheduler_->end_flow(flow_id);
   }
 

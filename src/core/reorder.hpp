@@ -43,8 +43,16 @@ class ReorderBuffer {
   /// per-packet submit loop.
   void submit_batch(std::span<net::PacketPtr> pkts);
 
-  /// Path-down / teardown flush: release every buffered packet NOW, in
-  /// per-flow seq order, advancing each flow's window past its holes
+  /// Flow completed: forget its window if nothing of it is buffered.
+  /// Returns true if the entry was retired (a flow with pending packets
+  /// keeps its entry; its timeout still releases them). The flow id must
+  /// not be reused afterwards — its window would restart at seq 0.
+  bool retire_flow(std::uint32_t flow_id);
+
+  /// Path-down / teardown flush: release every buffered packet NOW, flow
+  /// by flow in ascending flow id (so the output order depends only on
+  /// what is buffered, never on the table's history) and in per-flow seq
+  /// order, advancing each flow's window past its holes
   /// (predecessors stranded on a dead path will never arrive, so waiting
   /// out the timeout only adds tail latency). Ownership moves through
   /// emit_ — the consumer's drop recycles each PacketPtr into its pool —
@@ -62,6 +70,8 @@ class ReorderBuffer {
   std::uint64_t late_after_skip() const noexcept { return late_after_skip_; }
   std::uint64_t flushed() const noexcept { return flushed_; }
   std::size_t buffered() const noexcept { return buffered_count_; }
+  /// Flows holding a resequencing window (retired by retire_flow).
+  std::size_t tracked_flows() const noexcept { return flows_.size(); }
   const stats::LatencyHistogram& dwell() const noexcept { return dwell_; }
   double ooo_fraction() const noexcept {
     std::uint64_t total = in_order_ + out_of_order_;
@@ -76,8 +86,16 @@ class ReorderBuffer {
     std::map<std::uint64_t, net::PacketPtr> pending;  // seq -> packet
     std::map<std::uint64_t, sim::TimeNs> arrival_ns;
     bool timer_armed = false;
+    /// Releases of this flow on the stack (emit_ may re-enter us), and
+    /// whether retire_flow was called during one of them.
+    std::uint32_t holds = 0;
+    bool retired = false;
   };
 
+  /// Run fn() while holding `st`: a retire_flow from inside (emit_ may end
+  /// the flow) only marks the window, and it is erased once fn returns.
+  template <typename Fn>
+  void with_held(std::uint32_t flow_id, FlowState& st, Fn fn);
   void drain(FlowState& st);
   void arm_timer(std::uint32_t flow_id, FlowState& st);
   void on_timeout(std::uint32_t flow_id);

@@ -96,10 +96,10 @@ Controller::Controller(Config cfg, Actuator& actuator, SloMonitor& monitor)
       mon_(monitor),
       hedger_(cfg.hedger),
       hedge_timeout_(cfg.hedge_timeout),
-      gran_(cfg.granularity) {
+      gran_(cfg.granularity),
+      decisions_(cfg.decision_log_capacity) {
   mon_.set_slo_target_ns(cfg_.slo_target_ns);
   paths_.assign(act_.num_paths(), PathCtl{PathStateMachine(cfg_.path)});
-  if (cfg_.decision_log_capacity == 0) cfg_.decision_log_capacity = 1;
   if (cfg_.forecast.enabled) {
     ForecastConfig& fc = cfg_.forecast;
     if (fc.prehedge_threshold <= 0.0) fc.prehedge_threshold = 0.9;
@@ -160,11 +160,7 @@ void Controller::log_decision(Decision d, const forecast::Forecast* fc) {
   // enabled — the log then shows which regime each action happened in.
   d.granularity = gran_.granularity();
   d.granularity_logged = cfg_.granularity.enabled;
-  if (decisions_.size() >= cfg_.decision_log_capacity) {
-    decisions_.erase(decisions_.begin());
-    ++decisions_evicted_;
-  }
-  decisions_.push_back(d);
+  if (decisions_.push(d)) ++decisions_evicted_;
   if (rec_chan_)
     rec_chan_->emit(
         d.now_ns, telem::EventType::kCtrlDecision,

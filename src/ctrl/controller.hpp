@@ -26,7 +26,9 @@
 // and *why* the controller acted.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -189,6 +191,70 @@ struct Decision {
   bool forecast_logged = false;
 };
 
+/// The controller's bounded decision log: the newest `capacity` decisions,
+/// oldest first. A ring, so a decision logged into a full log evicts the
+/// oldest in O(1) instead of shifting every entry down.
+class DecisionLog {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Decision;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Decision*;
+    using reference = const Decision&;
+
+    const_iterator() = default;
+    const_iterator(const DecisionLog* log, std::size_t i)
+        : log_(log), i_(i) {}
+    reference operator*() const { return (*log_)[i_]; }
+    pointer operator->() const { return &(*log_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const DecisionLog* log_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  explicit DecisionLog(std::size_t capacity)
+      : capacity_(capacity ? capacity : 1) {}
+
+  /// Append `d`; returns true when the oldest entry made room for it.
+  bool push(const Decision& d) {
+    if (ring_.size() < capacity_) {
+      ring_.push_back(d);
+      return false;
+    }
+    ring_[oldest_] = d;
+    if (++oldest_ == capacity_) oldest_ = 0;
+    return true;
+  }
+
+  std::size_t size() const noexcept { return ring_.size(); }
+  bool empty() const noexcept { return ring_.empty(); }
+  /// i-th oldest entry.
+  const Decision& operator[](std::size_t i) const noexcept {
+    return ring_[(oldest_ + i) % ring_.size()];
+  }
+  const Decision& back() const noexcept { return (*this)[size() - 1]; }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size()}; }
+
+ private:
+  std::size_t capacity_;
+  std::vector<Decision> ring_;
+  std::size_t oldest_ = 0;  ///< index of the oldest entry once full
+};
+
 class Controller {
  public:
   /// `actuator` and `monitor` must outlive the controller. The monitor's
@@ -257,9 +323,7 @@ class Controller {
   /// (counted per path per tick; the A/B bench's primary metric).
   std::uint64_t breach_windows() const noexcept { return breach_windows_; }
 
-  const std::vector<Decision>& decisions() const noexcept {
-    return decisions_;
-  }
+  const DecisionLog& decisions() const noexcept { return decisions_; }
 
   // Runtime-adjustable knobs (caller thread; apply from the next tick).
   void set_slo_target_ns(std::uint64_t t);
@@ -395,7 +459,7 @@ class Controller {
   std::string last_quarantine_dump_;
   std::uint64_t auto_dumps_ = 0;
   std::vector<PathCtl> paths_;
-  std::vector<Decision> decisions_;
+  DecisionLog decisions_;
   std::uint64_t tick_ = 0;
   std::uint64_t now_ns_ = 0;  ///< time of the current tick
   std::uint64_t suppressed_quarantines_ = 0;

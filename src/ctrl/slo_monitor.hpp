@@ -219,9 +219,8 @@ class SloMonitor {
   void register_stats(trace::StatsRegistry& reg) const;
 
  private:
-  // Hot-write layout (stats::kCacheLineSize =
-  // std::hardware_destructive_interference_size): the scalar window
-  // accumulators the observer thread hits on EVERY observation (sum /
+  // Hot-write layout (stats::kCacheLineSize, one 64 B line): the scalar
+  // window accumulators the observer thread hits on EVERY observation (sum /
   // violations), the per-stage sums (every observe_span), and the
   // lifetime counters each get their own interference line, so the
   // harvester's exchange-to-zero on one group never steals the line the

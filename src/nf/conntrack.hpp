@@ -36,7 +36,7 @@ struct ConnEntry {
 };
 
 struct ConnTrackerConfig {
-  std::size_t max_entries = 1 << 16;
+  std::size_t max_entries = kReplicaFlowCapacity;
   std::uint64_t tcp_idle_timeout_ns = 300ull * 1'000'000'000;
   std::uint64_t udp_idle_timeout_ns = 30ull * 1'000'000'000;
   std::uint64_t closed_linger_ns = 1'000'000'000;

@@ -33,13 +33,14 @@ void FlowCacheCore::clear() { table_.clear(); }
 
 bool FlowCache::configure(const std::vector<std::string>& args,
                           std::string* err) {
-  if (args.empty()) return true;
-  std::size_t cap;
-  if (args.size() > 1 || !click::parse_size_arg(args[0], &cap) || cap == 0) {
+  std::size_t cap = FlowCacheCore::kDefaultCapacity;
+  if (args.size() > 1 ||
+      (args.size() == 1 &&
+       (!click::parse_size_arg(args[0], &cap) || cap == 0))) {
     *err = "FlowCache(CAPACITY)";
     return false;
   }
-  cache_ = FlowCacheCore(cap);
+  cache_.emplace(cap);
   return true;
 }
 
@@ -81,7 +82,7 @@ void FlowCache::push(int port, net::PacketPtr pkt) {
       a.new_dst_ip = parsed->flow.dst_ip;
       a.new_src_port = parsed->flow.src_port;
       a.new_dst_port = parsed->flow.dst_port;
-      cache_.install(it->second, a, pkt->anno().tenant_id);
+      cache_->install(it->second, a, pkt->anno().tenant_id);
       pending_.erase(it);
     }
     pkt->anno().cache_cookie = 0;
@@ -95,7 +96,7 @@ void FlowCache::push(int port, net::PacketPtr pkt) {
     return;
   }
 
-  if (const CachedAction* a = cache_.lookup(parsed->flow)) {
+  if (const CachedAction* a = cache_->lookup(parsed->flow)) {
     if (a->drop) {
       ++dropped_;
       return;

@@ -39,7 +39,9 @@ struct CachedAction {
 /// working set — see docs/TENANCY.md for the eviction guarantees.
 class FlowCacheCore {
  public:
-  explicit FlowCacheCore(std::size_t capacity = 1 << 15)
+  static constexpr std::size_t kDefaultCapacity = 1 << 15;
+
+  explicit FlowCacheCore(std::size_t capacity = kDefaultCapacity)
       : table_(capacity) {}
 
   const CachedAction* lookup(const net::FlowKey& flow);
@@ -95,14 +97,15 @@ class FlowCache final : public click::Element {
   sim::TimeNs cost_ns() const override { return 45; }  // fast-path cost
   void push(int port, net::PacketPtr pkt) override;
 
-  FlowCacheCore& core() noexcept { return cache_; }
+  /// Built once, by configure(), at the CAPACITY it names.
+  FlowCacheCore& core() noexcept { return *cache_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
   void apply(const CachedAction& a, net::Packet& pkt,
              const net::ParsedPacket& parsed);
 
-  FlowCacheCore cache_;
+  std::optional<FlowCacheCore> cache_;
   // Original 5-tuple of in-flight slow-path packets, keyed by cookie.
   std::unordered_map<std::uint64_t, net::FlowKey> pending_;
   std::uint64_t next_cookie_ = 1;

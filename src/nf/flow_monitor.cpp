@@ -8,21 +8,21 @@ namespace mdp::nf {
 
 bool FlowMonitor::configure(const std::vector<std::string>& args,
                             std::string* err) {
-  if (args.empty()) return true;
-  std::size_t max_flows;
-  if (args.size() > 1 || !click::parse_size_arg(args[0], &max_flows) ||
-      max_flows == 0) {
+  std::size_t max_flows = kReplicaFlowCapacity;
+  if (args.size() > 1 ||
+      (args.size() == 1 &&
+       (!click::parse_size_arg(args[0], &max_flows) || max_flows == 0))) {
     *err = "FlowMonitor(MAX_FLOWS)";
     return false;
   }
-  core_ = FlowMonitorCore(max_flows);
+  core_.emplace(max_flows);
   return true;
 }
 
 net::PacketPtr FlowMonitor::simple_action(net::PacketPtr pkt) {
   auto parsed = net::parse(*pkt);
   if (parsed)
-    core_.record(parsed->flow, pkt->length(), pkt->anno().ingress_ns);
+    core_->record(parsed->flow, pkt->length(), pkt->anno().ingress_ns);
   return pkt;
 }
 

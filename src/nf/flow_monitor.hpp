@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "click/element.hpp"
 #include "net/flow_key.hpp"
+#include "nf/flow_table.hpp"
 
 namespace mdp::nf {
 
@@ -22,7 +24,7 @@ struct FlowStats {
 
 class FlowMonitorCore {
  public:
-  explicit FlowMonitorCore(std::size_t max_flows = 1 << 16)
+  explicit FlowMonitorCore(std::size_t max_flows = kReplicaFlowCapacity)
       : max_flows_(max_flows) {}
 
   void record(const net::FlowKey& flow, std::size_t bytes,
@@ -81,10 +83,11 @@ class FlowMonitor final : public click::Element {
     act_batch_and_forward(std::move(batch));
   }
 
-  FlowMonitorCore& core() noexcept { return core_; }
+  /// Built once, by configure(), with the MAX_FLOWS it names.
+  FlowMonitorCore& core() noexcept { return *core_; }
 
  private:
-  FlowMonitorCore core_;
+  std::optional<FlowMonitorCore> core_;
 };
 
 }  // namespace mdp::nf

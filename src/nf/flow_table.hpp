@@ -1,6 +1,7 @@
 // FlowTable: the bounded-memory flow state container behind every NF table
 // (NAT bindings, conntrack entries, LB affinity, the vSwitch flow cache),
-// sized for 1M+ concurrent flows. Contract in docs/TENANCY.md.
+// sized at construction — one chain replica's flows by default
+// (kReplicaFlowCapacity), 1M+ where asked for. Contract in docs/TENANCY.md.
 //
 // Design:
 //   - Open addressing (linear probing) over a slot array allocated ONCE at
@@ -37,6 +38,12 @@
 
 namespace mdp::nf {
 
+/// Default flow capacity of every per-replica NF table (NAT bindings,
+/// conntrack, LB affinity, flow monitor). Each multipath path runs its own
+/// chain replica, so this is what one replica holds, not the plane; the
+/// million-flow tier (bench/ext4_tenants) sizes its own tables.
+inline constexpr std::size_t kReplicaFlowCapacity = 1 << 16;
+
 template <typename Value>
 class FlowTable {
  public:
@@ -56,20 +63,12 @@ class FlowTable {
     mask_ = slots_.size() - 1;
   }
 
-  // Movable (the owning cores are copied around in configure()).
+  // Built once by its owner and never copied: a copy would duplicate the
+  // whole slot array, and an evict callback bound to the original owner.
   FlowTable(FlowTable&&) noexcept = default;
   FlowTable& operator=(FlowTable&&) noexcept = default;
-  FlowTable(const FlowTable& o)
-      : capacity_(o.capacity_), slots_(o.slots_), mask_(o.mask_),
-        hand_(o.hand_), size_(o.size_), tenant_occ_(o.tenant_occ_),
-        tenant_cap_(o.tenant_cap_), on_evict_(o.on_evict_),
-        evictions_(o.evictions_), cap_rejections_(o.cap_rejections_),
-        pinned_deferrals_(o.pinned_deferrals_) {}
-  FlowTable& operator=(const FlowTable& o) {
-    FlowTable tmp(o);
-    *this = std::move(tmp);
-    return *this;
-  }
+  FlowTable(const FlowTable&) = delete;
+  FlowTable& operator=(const FlowTable&) = delete;
 
   /// Lookup; a hit sets the entry's reference bit (it earns its second
   /// chance). Returns nullptr on miss. The pointer is invalidated by any

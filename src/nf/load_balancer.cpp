@@ -90,14 +90,18 @@ bool LoadBalancer::configure(const std::vector<std::string>& args,
     *err = "LoadBalancer: bad VIP '" + args[0] + "'";
     return false;
   }
+  // Backends are staged until the policy (which may follow them) is known,
+  // so the core and its affinity table are built exactly once.
+  auto policy = LoadBalancerCore::Policy::kConsistentHash;
+  std::vector<Backend> backends;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a.rfind("policy ", 0) == 0) {
       std::string p = a.substr(7);
       if (p == "hash") {
-        core_ = LoadBalancerCore(LoadBalancerCore::Policy::kConsistentHash);
+        policy = LoadBalancerCore::Policy::kConsistentHash;
       } else if (p == "rr") {
-        core_ = LoadBalancerCore(LoadBalancerCore::Policy::kWeightedRR);
+        policy = LoadBalancerCore::Policy::kWeightedRR;
       } else {
         *err = "LoadBalancer: unknown policy '" + p + "'";
         return false;
@@ -121,10 +125,10 @@ bool LoadBalancer::configure(const std::vector<std::string>& args,
       *err = "LoadBalancer: bad DIP '" + addr + "'";
       return false;
     }
-    backends_pending_.push_back(b);
+    backends.push_back(b);
   }
-  for (const auto& b : backends_pending_) core_.add_backend(b);
-  backends_pending_.clear();
+  core_.emplace(policy);
+  for (const auto& b : backends) core_->add_backend(b);
   return true;
 }
 
@@ -132,7 +136,7 @@ net::PacketPtr LoadBalancer::simple_action(net::PacketPtr pkt) {
   auto parsed = net::parse(*pkt);
   if (!parsed || parsed->flow.dst_ip != vip_) return pkt;
 
-  std::uint32_t dip = core_.select(parsed->flow, pkt->anno().tenant_id);
+  std::uint32_t dip = core_->select(parsed->flow, pkt->anno().tenant_id);
   if (dip == 0) return net::PacketPtr{nullptr};  // no healthy backend: drop
 
   net::Ipv4View ip(pkt->data() + parsed->l3_offset);

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,9 +28,9 @@ struct Backend {
   bool healthy = true;
 };
 
-/// Affinity state lives in a bounded second-chance nf::FlowTable: a
-/// million-flow affinity footprint is fixed at construction, cold flows
-/// are displaced instead of growing memory, and per-tenant caps keep one
+/// Affinity state lives in a bounded second-chance nf::FlowTable: the
+/// footprint is fixed at construction (one chain replica's worth of flows
+/// by default), cold flows are displaced instead of growing memory, and per-tenant caps keep one
 /// tenant's connection storm from flushing another tenant's affinity
 /// (docs/TENANCY.md). Losing an affinity entry is safe — the flow simply
 /// re-resolves through the (stable) consistent-hash ring.
@@ -38,7 +39,8 @@ class LoadBalancerCore {
   enum class Policy { kConsistentHash, kWeightedRR };
 
   explicit LoadBalancerCore(Policy p = Policy::kConsistentHash,
-                            std::size_t affinity_capacity = 1 << 20)
+                            std::size_t affinity_capacity =
+                                kReplicaFlowCapacity)
       : policy_(p), affinity_(affinity_capacity) {}
 
   void add_backend(Backend b);
@@ -97,12 +99,12 @@ class LoadBalancer final : public click::Element {
     act_batch_and_forward(std::move(batch));
   }
 
-  LoadBalancerCore& core() noexcept { return core_; }
+  /// Built once, by configure(), with the policy its arguments name.
+  LoadBalancerCore& core() noexcept { return *core_; }
   std::uint64_t rewritten() const noexcept { return rewritten_; }
 
  private:
-  LoadBalancerCore core_;
-  std::vector<Backend> backends_pending_;  // staged until policy is known
+  std::optional<LoadBalancerCore> core_;
   std::uint32_t vip_ = 0;
   std::uint64_t rewritten_ = 0;
 };

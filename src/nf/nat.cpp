@@ -120,8 +120,7 @@ bool Nat::configure(const std::vector<std::string>& args, std::string* err) {
     *err = "Nat(EXTERNAL_IP [, PORT_LO, PORT_HI])";
     return false;
   }
-  cfg_ = cfg;
-  table_ = std::make_unique<NatTable>(cfg);
+  table_.emplace(cfg);
   return true;
 }
 

@@ -33,7 +33,7 @@ struct NatConfig {
   /// Consecutive external addresses starting at external_ip; the usable
   /// binding space is num_external_ips * (port_hi - port_lo + 1).
   std::uint16_t num_external_ips = 1;
-  std::size_t max_entries = 65536;
+  std::size_t max_entries = kReplicaFlowCapacity;
   std::uint64_t idle_timeout_ns = 120ull * 1'000'000'000;  // 120 s
 };
 
@@ -78,6 +78,7 @@ class NatTable {
   }
 
   std::size_t size() const noexcept { return bindings_.size(); }
+  std::size_t capacity() const noexcept { return bindings_.capacity(); }
   std::size_t ports_available() const noexcept { return free_addrs_.size(); }
   std::uint64_t evictions() const noexcept { return bindings_.evictions(); }
   std::uint64_t cap_rejections() const noexcept {
@@ -109,6 +110,7 @@ class Nat final : public click::Element {
   void push(int port, net::PacketPtr pkt) override;
   void push_batch(int port, click::PacketBatch&& batch) override;
 
+  /// Built once, by configure(), from the parsed arguments.
   NatTable& table() noexcept { return *table_; }
   std::uint64_t translated() const noexcept { return translated_; }
   std::uint64_t failed() const noexcept { return failed_; }
@@ -117,8 +119,7 @@ class Nat final : public click::Element {
   /// Translate + rewrite one packet. Returns the packet for output 0, or
   /// null after diverting it to port 1 / dropping it.
   net::PacketPtr translate_one(net::PacketPtr pkt);
-  std::unique_ptr<NatTable> table_ = std::make_unique<NatTable>();
-  NatConfig cfg_{};
+  std::optional<NatTable> table_;
   std::uint64_t translated_ = 0;
   std::uint64_t failed_ = 0;
 };

@@ -14,7 +14,7 @@
 #include <span>
 #include <thread>
 
-#include "ring/spsc_ring.hpp"  // for kCacheLine
+#include "stats/cacheline.hpp"
 
 namespace mdp::ring {
 
@@ -149,8 +149,8 @@ class MpmcRing {
 
   const std::size_t mask_;
   std::unique_ptr<Slot[]> slots_;
-  alignas(kCacheLine) std::atomic<std::uint64_t> enqueue_pos_{0};
-  alignas(kCacheLine) std::atomic<std::uint64_t> dequeue_pos_{0};
+  alignas(stats::kCacheLineSize) std::atomic<std::uint64_t> enqueue_pos_{0};
+  alignas(stats::kCacheLineSize) std::atomic<std::uint64_t> dequeue_pos_{0};
 };
 
 }  // namespace mdp::ring

@@ -12,17 +12,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <span>
 
-namespace mdp::ring {
+#include "stats/cacheline.hpp"
 
-#if defined(__cpp_lib_hardware_interference_size)
-inline constexpr std::size_t kCacheLine =
-    std::hardware_destructive_interference_size;
-#else
-inline constexpr std::size_t kCacheLine = 64;
-#endif
+namespace mdp::ring {
 
 template <typename T>
 class SpscRing {
@@ -116,8 +110,9 @@ class SpscRing {
  private:
   const std::size_t mask_;
   std::unique_ptr<T[]> slots_;
-  alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};  // producer cursor
-  alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};  // consumer cursor
+  // Producer and consumer cursors, each alone on its line.
+  alignas(stats::kCacheLineSize) std::atomic<std::uint64_t> head_{0};
+  alignas(stats::kCacheLineSize) std::atomic<std::uint64_t> tail_{0};
 };
 
 }  // namespace mdp::ring

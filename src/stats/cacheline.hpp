@@ -1,8 +1,11 @@
 // Cache-line geometry for hot-path data layout.
 //
-// kCacheLineSize is std::hardware_destructive_interference_size when the
-// toolchain provides it (the span two threads must not share without
-// paying coherence traffic), else the x86-64/ARM64 conventional 64.
+// kCacheLineSize is the one cache-line constant of the tree: 64 B, the
+// line of x86-64 and of most ARM64 cores, i.e. the span two threads must
+// not share without paying coherence traffic. It is a fixed number rather
+// than std::hardware_destructive_interference_size, whose value may change
+// with compiler flags (gcc notes every use with -Winterference-size), so
+// layouts do not depend on how a translation unit was built.
 // PaddedAtomicU64 places one counter per line so adjacent per-path
 // counters written by different threads (the collector's completion
 // counts, the monitor's window accumulators) never false-share — the
@@ -12,16 +15,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 
 namespace mdp::stats {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLineSize =
-    std::hardware_destructive_interference_size;
-#else
 inline constexpr std::size_t kCacheLineSize = 64;
-#endif
 
 /// One 64-bit atomic counter alone on its destructive-interference line.
 /// Drop-in for arrays of adjacent hot counters written from different

@@ -602,7 +602,8 @@ class ChaosRig {
     res.forecast_restores = controller.forecast_restores();
     res.forecast_confirmed = controller.forecast_confirmed();
     res.forecast_false_positives = controller.forecast_false_positives();
-    res.decisions = controller.decisions();
+    res.decisions.assign(controller.decisions().begin(),
+                         controller.decisions().end());
     res.ctrl_report = controller.report_json();
     res.telem_events = rec.total_emitted();
     res.auto_dumps = controller.auto_dumps();

@@ -1,9 +1,12 @@
 // ReorderBuffer tests: in-order passthrough, hole buffering, timeout skip,
-// late delivery after skip, detection-only mode, and the random-permutation
-// in-order-egress property.
+// late delivery after skip, flush order, flow retirement, detection-only
+// mode, and the random-permutation in-order-egress property.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/reorder.hpp"
 #include "sim/rng.hpp"
@@ -88,6 +91,74 @@ TEST_F(ReorderFixture, FlowsAreIndependent) {
   ASSERT_EQ(egressed.size(), 2u);
   EXPECT_EQ(egressed[0].first, 1u);
   EXPECT_EQ(egressed[1].first, 1u);
+}
+
+TEST_F(ReorderFixture, FlushAllReleasesFlowsInAscendingId) {
+  auto rb = make();
+  // Touch flows in an order unrelated to their ids, each left with a hole.
+  for (std::uint32_t flow : {907u, 3u, 64u, 12u, 500u}) {
+    rb->submit(pkt(flow, 0));
+    rb->submit(pkt(flow, 2));
+    rb->submit(pkt(flow, 3));
+  }
+  egressed.clear();
+  EXPECT_EQ(rb->flush_all(), 10u);
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>> want = {
+      {3, 2},  {3, 3},  {12, 2},  {12, 3},  {64, 2},
+      {64, 3}, {500, 2}, {500, 3}, {907, 2}, {907, 3}};
+  EXPECT_EQ(egressed, want);
+}
+
+TEST_F(ReorderFixture, RetireFlowForgetsOnlyIdleWindows) {
+  auto rb = make();
+  rb->submit(pkt(1, 1));  // arms flow 1's timer...
+  rb->submit(pkt(1, 0));  // ...then fills the hole: idle, timer still armed
+  rb->submit(pkt(2, 1));  // flow 2 holds a packet behind a hole
+  EXPECT_EQ(rb->tracked_flows(), 2u);
+  EXPECT_TRUE(rb->retire_flow(1));
+  EXPECT_FALSE(rb->retire_flow(2));  // pending: kept for its timeout
+  EXPECT_FALSE(rb->retire_flow(9));  // never seen
+  EXPECT_EQ(rb->tracked_flows(), 1u);
+  eq.run();  // flow 1's stale timer is a no-op; flow 2's releases seq 1
+  ASSERT_EQ(egressed.size(), 3u);
+  EXPECT_EQ(egressed[2], (std::pair<std::uint32_t, std::uint64_t>{2, 1}));
+  EXPECT_EQ(rb->tracked_flows(), 1u);
+  EXPECT_TRUE(rb->retire_flow(2));
+  EXPECT_EQ(rb->tracked_flows(), 0u);
+  EXPECT_EQ(rb->buffered(), 0u);
+}
+
+// The plane ends a flow from inside the egress callback of its last
+// packet, i.e. while the buffer is still releasing that flow: by an
+// in-order arrival, by the hole timeout, or by flush_all.
+TEST_F(ReorderFixture, RetireFlowFromInsideItsOwnRelease) {
+  for (const char* how : {"in_order", "timeout", "flush_all"}) {
+    const std::string mode = how;
+    ReorderBuffer* self = nullptr;
+    std::vector<std::uint64_t> out;
+    ReorderConfig cfg;
+    cfg.timeout_ns = 10'000;
+    ReorderBuffer rb(eq, cfg, [&](net::PacketPtr p) {
+      out.push_back(p->anno().seq);
+      if (p->anno().seq == 3) {
+        EXPECT_TRUE(self->retire_flow(4)) << mode;
+      }
+    });
+    self = &rb;
+    rb.submit(pkt(4, 2));
+    rb.submit(pkt(4, 3));
+    if (mode == "in_order") {
+      rb.submit(pkt(4, 0));
+      rb.submit(pkt(4, 1));  // releases 1, then drains 2 and 3
+    } else if (mode == "flush_all") {
+      EXPECT_EQ(rb.flush_all(), 2u);
+    }
+    eq.run();  // the timeout releases 2 and drains 3
+    EXPECT_EQ(out.size(), mode == "in_order" ? 4u : 2u) << mode;
+    EXPECT_EQ(out.back(), 3u) << mode;
+    EXPECT_EQ(rb.tracked_flows(), 0u) << mode;
+    EXPECT_EQ(rb.buffered(), 0u) << mode;
+  }
 }
 
 TEST_F(ReorderFixture, DisabledModeDetectsButPassesThrough) {

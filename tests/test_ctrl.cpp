@@ -17,6 +17,7 @@
 // which is what makes this binary meaningful under TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -848,6 +849,33 @@ TEST(Controller, DecisionLogIsBoundedWithEvictionCount) {
   auto doc = trace::JsonValue::parse(ctl.report_json());
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->find("decisions_evicted")->as_u64(), 2u);
+}
+
+TEST(Controller, DecisionLogRingKeepsTheNewestOldestFirst) {
+  ctrl::DecisionLog log(3);
+  EXPECT_TRUE(log.empty());
+  for (std::uint64_t t = 1; t <= 8; ++t) {
+    ctrl::Decision d;
+    d.tick = t;
+    EXPECT_EQ(log.push(d), t > 3) << t;
+    const std::size_t n = std::min<std::size_t>(t, 3);
+    ASSERT_EQ(log.size(), n);
+    // Oldest first, through [], iteration, front() and back().
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(log[i].tick, t - n + 1 + i);
+    std::vector<std::uint64_t> seen;
+    for (const auto& e : log) seen.push_back(e.tick);
+    ASSERT_EQ(seen.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(seen[i], log[i].tick);
+    EXPECT_EQ(log[0].tick, t - n + 1);
+    EXPECT_EQ(log.back().tick, t);
+  }
+  ctrl::DecisionLog one(0);  // a zero capacity still keeps the newest
+  ctrl::Decision d;
+  one.push(d);
+  d.tick = 9;
+  EXPECT_TRUE(one.push(d));
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.back().tick, 9u);
 }
 
 TEST(Controller, ReportJsonIsParseableAndComplete) {

@@ -7,6 +7,8 @@
 
 #include "core/dataplane.hpp"
 #include "net/packet_builder.hpp"
+#include "nf/load_balancer.hpp"
+#include "nf/nat.hpp"
 #include "sim/interference.hpp"
 #include "workload/flow_size.hpp"
 #include "workload/rpc_workload.hpp"
@@ -671,6 +673,7 @@ struct RpcOutcome {
   std::uint64_t egress = 0;
   std::uint64_t extra_copy_bytes = 0;
   std::size_t tracked_flows = 0;
+  std::size_t reorder_flows = 0;
   std::size_t dedup_pending = 0;
   std::size_t registered_flows = 0;
   std::size_t pool_in_use = 0;
@@ -709,6 +712,7 @@ RpcOutcome run_rpc(const std::string& policy, bool flow_repl,
   o.egress = dp.egress_count();
   o.extra_copy_bytes = dp.extra_copy_bytes();
   o.tracked_flows = dp.tracked_flows();
+  o.reorder_flows = dp.reorder().tracked_flows();
   o.dedup_pending = dp.dedup().pending();
   o.registered_flows = dp.dedup().registered_flows();
   o.pool_in_use = pool.in_use();
@@ -736,9 +740,12 @@ void expect_same_results(const RpcOutcome& retired, const RpcOutcome& kept,
 TEST(DataPlane, EndFlowRetiresSequenceStateWithoutChangingResults) {
   const RpcOutcome kept = run_rpc("rss", true, false);
   const RpcOutcome retired = run_rpc("rss", true, true);
-  // Without end_flow the plane keeps one sequence counter per flow seen.
+  // Without end_flow the plane keeps one sequence counter and one reorder
+  // window per flow seen.
   EXPECT_EQ(kept.tracked_flows, 300u);
+  EXPECT_EQ(kept.reorder_flows, 300u);
   EXPECT_EQ(retired.tracked_flows, 0u);
+  EXPECT_EQ(retired.reorder_flows, 0u);
   EXPECT_EQ(retired.dedup_pending, 0u);
   EXPECT_EQ(retired.registered_flows, 0u);
   EXPECT_EQ(retired.pool_in_use, 0u);
@@ -756,9 +763,36 @@ TEST(DataPlane, EndFlowRetiresFlowletEntriesWithoutChangingResults) {
     }
     EXPECT_EQ(retired.scheduler_flows, 0u) << policy;
     EXPECT_EQ(retired.tracked_flows, 0u) << policy;
+    EXPECT_EQ(retired.reorder_flows, 0u) << policy;
     EXPECT_EQ(retired.pool_in_use, 0u) << policy;
     expect_same_results(retired, kept, policy);
   }
+}
+
+// Each path runs its own chain replica, so no per-replica table may be
+// sized beyond what one replica can fill.
+TEST(DataPlane, ChainReplicaTablesFitOneReplica) {
+  sim::EventQueue eq;
+  net::PacketPool pool(8, 2048);
+  DataPlaneConfig cfg;
+  cfg.num_paths = 4;
+  cfg.chain = "fw-nat-lb";
+  cfg.dedup_sweep_interval_ns = 0;
+  MdpDataPlane dp(eq, pool, cfg, make_scheduler("jsq"));
+  std::size_t nats = 0, lbs = 0;
+  for (const auto& e : dp.router().elements()) {
+    if (auto* nat = dynamic_cast<nf::Nat*>(e.get())) {
+      ++nats;
+      EXPECT_GT(nat->table().capacity(), 0u);
+      EXPECT_LE(nat->table().capacity(), nf::kReplicaFlowCapacity);
+    } else if (auto* lb = dynamic_cast<nf::LoadBalancer*>(e.get())) {
+      ++lbs;
+      EXPECT_GT(lb->core().affinity_capacity(), 0u);
+      EXPECT_LE(lb->core().affinity_capacity(), nf::kReplicaFlowCapacity);
+    }
+  }
+  EXPECT_EQ(nats, cfg.num_paths);
+  EXPECT_EQ(lbs, cfg.num_paths);
 }
 
 TEST(DataPlane, RejectsInvalidConfig) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
+#include "net/headers.hpp"
+#include "nf/chain.hpp"
 #include "workload/trace.hpp"
 #include "workload/trace_replay.hpp"
 
@@ -40,6 +42,37 @@ TEST(Harness, MeanServiceReflectsChainChoice) {
   ScenarioConfig b = small_scenario("jsq");
   b.chain = "full";
   EXPECT_GT(mean_service_ns(b), mean_service_ns(a) * 3);
+}
+
+// The calibration reads the chain cost off one bare chain replica; it must
+// equal what a 1-path data plane charges for the same chain.
+TEST(Harness, MeanServiceMatchesOnePathPlaneForEveryPreset) {
+  for (const std::string& chain : nf::ChainSpec::preset_names()) {
+    ScenarioConfig cfg = small_scenario("jsq");
+    cfg.chain = chain;
+    cfg.mean_payload = 700;
+    cfg.dp.per_byte_ns = 0.4;
+    sim::EventQueue eq;
+    net::PacketPool pool(8, 2048);
+    core::DataPlaneConfig dpc = cfg.dp;
+    dpc.num_paths = 1;
+    dpc.chain = chain;
+    dpc.dedup_sweep_interval_ns = 0;
+    core::MdpDataPlane plane(eq, pool, dpc, core::make_scheduler("single"));
+    const double frame = net::kEthernetHeaderLen + net::kIpv4MinHeaderLen +
+                         net::kUdpHeaderLen + cfg.mean_payload;
+    EXPECT_GT(plane.chain_cost_ns(), 0) << chain;
+    EXPECT_DOUBLE_EQ(mean_service_ns(cfg),
+                     static_cast<double>(plane.chain_cost_ns()) +
+                         cfg.dp.per_byte_ns * frame)
+        << chain;
+  }
+}
+
+TEST(Harness, MeanServiceRejectsUnknownChain) {
+  ScenarioConfig cfg = small_scenario("jsq");
+  cfg.chain = "no-such-chain";
+  EXPECT_THROW(mean_service_ns(cfg), std::runtime_error);
 }
 
 TEST(Harness, InterferenceInflatesSinglePathTailNotMultipath) {
